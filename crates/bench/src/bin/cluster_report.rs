@@ -31,9 +31,8 @@ use cluster::{run_chaos_storm, run_crash_storm, ChaosStormConfig, CrashStormConf
 use obs::{MetricValue, Rollup, ScopeId, TraceQuery, Tracer};
 use std::fmt::Write as _;
 
-/// Every integer key the comparators and trend table may read; the
-/// self-check refuses to write a document any of these fail to parse
-/// back out of.
+/// Every integer key the `gate` table may read; the self-check
+/// refuses to write a document any of these fail to parse back out of.
 const SCHEMA_U64: &[&str] = &[
     "seed",
     "open_spans",

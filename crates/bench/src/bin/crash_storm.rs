@@ -26,9 +26,8 @@
 use cluster::{run_crash_storm, CrashStormConfig};
 use std::fmt::Write as _;
 
-/// Every integer key the comparators and trend table may read; the
-/// self-check refuses to write a document any of these fail to parse
-/// back out of.
+/// Every integer key the `gate` table may read; the self-check
+/// refuses to write a document any of these fail to parse back out of.
 const SCHEMA_U64: &[&str] = &[
     "seed",
     "shards",

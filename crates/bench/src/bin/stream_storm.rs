@@ -7,12 +7,11 @@
 //! software oracle. Reproducible: the same seed always yields the same
 //! report, byte for byte.
 //!
-//! `--json` additionally writes a flat JSON summary (sorted keys,
-//! integers only — byte-identical across same-seed runs) to `--out`
-//! (default `BENCH_storm.json`) for the baseline comparator and the
-//! cross-PR trend table.
+//! Writes a flat JSON summary (sorted keys, integers only —
+//! byte-identical across same-seed runs) to `--out` (default
+//! `BENCH_storm.json`) for the `gate` regression table.
 //!
-//! Usage: `stream_storm [--smoke] [--seed N] [--json] [--out PATH]`
+//! Usage: `stream_storm [--smoke] [--seed N] [--out PATH]`
 //!
 //! Exits nonzero if any stream finishes with a wrong digest, any
 //! planned stream fails to complete, or the p99 queue depth exceeds the
@@ -24,13 +23,11 @@ use stream::{run_storm, StormConfig};
 fn main() {
     let mut smoke = false;
     let mut seed: u64 = 2008;
-    let mut json = false;
     let mut out_path = String::from("BENCH_storm.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--json" => json = true,
             "--seed" => {
                 let v = args.next().unwrap_or_default();
                 seed = v.parse().unwrap_or_else(|_| {
@@ -47,7 +44,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument {other:?}; usage: stream_storm \
-                     [--smoke] [--seed N] [--json] [--out PATH]"
+                     [--smoke] [--seed N] [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -68,49 +65,47 @@ fn main() {
     };
     print!("{}", report.render());
 
-    if json {
-        let c = &report.counters;
-        let mut doc = String::new();
-        let _ = write!(
-            doc,
-            "{{\"bench\":\"stream_storm\",\"seed\":{},\"mode\":\"{}\",\
-             \"planned\":{},\"completed\":{},\"shed\":{},\"unfinished\":{},\
-             \"mismatches\":{},\"faults_injected\":{},\"ticks_run\":{},\
-             \"p99_queue_depth\":{},\"max_queue_depth\":{},\
-             \"opened\":{},\"parked_fault\":{},\"parked_idle\":{},\
-             \"resumed\":{},\"checkpoints\":{},\"restores\":{},\
-             \"fault_rollbacks\":{},\"degraded_low_priority\":{},\
-             \"passed\":{}}}",
-            report.seed,
-            if smoke { "smoke" } else { "full" },
-            report.planned,
-            report.completed,
-            report.shed,
-            report.unfinished,
-            report.mismatches,
-            report.faults_injected,
-            report.ticks_run,
-            report.p99_queue_depth,
-            report.max_queue_depth,
-            c.opened,
-            c.parked_fault,
-            c.parked_idle,
-            c.resumed,
-            c.checkpoints,
-            c.restores,
-            c.fault_rollbacks,
-            c.degraded_low_priority,
-            report.passed(),
-        );
-        doc.push('\n');
-        if let Err(e) = std::fs::write(&out_path, &doc) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        // Path goes to stderr so same-seed stdout stays byte-identical
-        // even when the runs write to different --out files.
-        eprintln!("stream_storm: JSON summary -> {out_path}");
+    let c = &report.counters;
+    let mut doc = String::new();
+    let _ = write!(
+        doc,
+        "{{\"bench\":\"stream_storm\",\"seed\":{},\"mode\":\"{}\",\
+         \"planned\":{},\"completed\":{},\"shed\":{},\"unfinished\":{},\
+         \"mismatches\":{},\"faults_injected\":{},\"ticks_run\":{},\
+         \"p99_queue_depth\":{},\"max_queue_depth\":{},\
+         \"opened\":{},\"parked_fault\":{},\"parked_idle\":{},\
+         \"resumed\":{},\"checkpoints\":{},\"restores\":{},\
+         \"fault_rollbacks\":{},\"degraded_low_priority\":{},\
+         \"passed\":{}}}",
+        report.seed,
+        if smoke { "smoke" } else { "full" },
+        report.planned,
+        report.completed,
+        report.shed,
+        report.unfinished,
+        report.mismatches,
+        report.faults_injected,
+        report.ticks_run,
+        report.p99_queue_depth,
+        report.max_queue_depth,
+        c.opened,
+        c.parked_fault,
+        c.parked_idle,
+        c.resumed,
+        c.checkpoints,
+        c.restores,
+        c.fault_rollbacks,
+        c.degraded_low_priority,
+        report.passed(),
+    );
+    doc.push('\n');
+    if let Err(e) = std::fs::write(&out_path, &doc) {
+        eprintln!("cannot write {out_path}: {e}");
+        std::process::exit(1);
     }
+    // Path goes to stderr so same-seed stdout stays byte-identical
+    // even when the runs write to different --out files.
+    eprintln!("stream_storm: JSON summary -> {out_path}");
     if !report.passed() {
         std::process::exit(1);
     }

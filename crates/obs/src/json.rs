@@ -2,45 +2,46 @@
 //! hand-rolled exporters.
 //!
 //! The bench binaries emit flat, sorted, integer-only JSON documents
-//! (`BENCH_obs.json`, `BENCH_analyze.json`). The baseline comparator
-//! needs to read those documents back without pulling a JSON dependency
-//! into the workspace, so this module provides just enough: locate a
-//! key's value, split an array into its top-level objects, and pull
-//! unsigned integers and strings out of flat objects. It is not a
-//! general JSON parser — nesting is handled only by bracket matching,
-//! and numbers are expected to be unsigned integers (the exporters
+//! (`BENCH_obs.json`, `BENCH_analyze.json`). The `gate` binary needs to
+//! read those documents back without pulling a JSON dependency into the
+//! workspace, so this module provides just enough: locate a key's value
+//! in an object, split an array into its top-level objects, and pull
+//! unsigned integers and strings out of objects. It is not a general
+//! JSON parser — nesting is handled only by bracket matching, and
+//! numbers are expected to be unsigned integers (the exporters
 //! guarantee both).
 
-/// Returns the raw text of the value following `"key":` at any nesting
-/// depth — an object/array including its brackets, or a scalar up to
-/// the enclosing `,`/`}`/`]`. The first occurrence wins.
-#[must_use]
-pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = &doc[start..];
-    let mut chars = rest.char_indices();
-    let (_, first) = chars.next()?;
-    match first {
+/// Yields `(byte offset, char)` for every character outside string
+/// literals, plus the opening quote of each string — the structure of
+/// the document with string contents (and their escapes) skipped.
+fn structural(doc: &str) -> impl Iterator<Item = (usize, char)> + '_ {
+    let mut in_str = false;
+    let mut escaped = false;
+    doc.char_indices().filter(move |&(_, c)| {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            return false;
+        }
+        in_str = c == '"';
+        true
+    })
+}
+
+/// The value at the start of `rest` — an object/array including its
+/// brackets, or a scalar up to the enclosing `,`/`}`/`]`.
+fn value_at(rest: &str) -> Option<&str> {
+    match rest.chars().next()? {
         '{' | '[' => {
-            let close = if first == '{' { '}' } else { ']' };
             let mut depth = 0usize;
-            let mut in_str = false;
-            let mut escaped = false;
-            for (i, c) in rest.char_indices() {
-                if in_str {
-                    match c {
-                        _ if escaped => escaped = false,
-                        '\\' => escaped = true,
-                        '"' => in_str = false,
-                        _ => {}
-                    }
-                    continue;
-                }
+            for (i, c) in structural(rest) {
                 match c {
-                    '"' => in_str = true,
-                    c if c == first => depth += 1,
-                    c if c == close => {
+                    '{' | '[' => depth += 1,
+                    '}' | ']' => {
                         depth -= 1;
                         if depth == 0 {
                             return Some(&rest[..=i]);
@@ -58,6 +59,29 @@ pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
+/// Returns the raw text of the value following `"key":` among the
+/// top-level members of the object `doc` — an object/array including
+/// its brackets, or a scalar up to the enclosing `,`/`}`/`]`. Keys of
+/// nested objects never match: reach them by walking the path one
+/// level at a time.
+#[must_use]
+pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let mut depth = 0usize;
+    for (i, c) in structural(doc) {
+        match c {
+            // A string opening at depth 1 followed by `:` is a member key.
+            '"' if depth == 1 && doc[i..].starts_with(&needle) => {
+                return value_at(&doc[i + needle.len()..]);
+            }
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Splits an array slice (as returned by [`json_section`], brackets
 /// included) into its top-level `{…}` object slices.
 #[must_use]
@@ -65,20 +89,8 @@ pub fn json_objects(array: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0usize;
     let mut start = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in array.char_indices() {
-        if in_str {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
+    for (i, c) in structural(array) {
         match c {
-            '"' => in_str = true,
             '{' => {
                 if depth == 0 {
                     start = Some(i);
@@ -99,14 +111,15 @@ pub fn json_objects(array: &str) -> Vec<&str> {
     out
 }
 
-/// Reads the unsigned integer value of `"key"` in a flat object slice.
+/// Reads the unsigned integer value of the top-level member `"key"` of
+/// an object slice.
 #[must_use]
 pub fn json_u64(obj: &str, key: &str) -> Option<u64> {
     json_section(obj, key)?.parse().ok()
 }
 
-/// Reads the (unescaped-as-written) string value of `"key"` in a flat
-/// object slice.
+/// Reads the (unescaped-as-written) string value of the top-level
+/// member `"key"` of an object slice.
 #[must_use]
 pub fn json_str<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     let raw = json_section(obj, key)?;
@@ -129,10 +142,17 @@ mod tests {
         assert_eq!(json_str(DOC, "bench"), Some("obs_report"));
         let storm = json_section(DOC, "storm").unwrap();
         assert!(storm.starts_with('{') && storm.ends_with('}'));
-        assert_eq!(
-            json_u64(json_section(storm, "queue_depth").unwrap(), "p99"),
-            Some(7)
-        );
+        assert_eq!(json_section(storm, "passed"), Some("true"));
+    }
+
+    #[test]
+    fn keys_match_only_at_the_top_level() {
+        let storm = json_section(DOC, "storm").unwrap();
+        assert_eq!(json_u64(storm, "p99"), None, "p99 is under queue_depth");
+        assert_eq!(json_u64(DOC, "m"), None, "m is inside catalogue entries");
+        assert_eq!(json_section(DOC, "queue_depth"), None);
+        let walked = json_section(storm, "queue_depth").and_then(|q| json_u64(q, "p99"));
+        assert_eq!(walked, Some(7));
     }
 
     #[test]
