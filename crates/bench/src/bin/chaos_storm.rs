@@ -62,35 +62,9 @@ const SCHEMA_U64: &[&str] = &[
 ];
 
 fn main() {
-    let mut seed: u64 = 2008;
-    let mut out_path = String::from("BENCH_chaos.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            // The smoke campaign is currently the only shape; the flag
-            // is accepted so every storm binary drives the same way.
-            "--smoke" => {}
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: chaos_storm [--smoke] [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    // The smoke campaign is currently the only shape; `--smoke` is
+    // accepted so every report binary drives the same way.
+    let (_, seed, out_path) = bench::report_args("chaos_storm", "BENCH_chaos.json");
 
     let cfg = ChaosStormConfig::smoke(seed);
     let report = match run_chaos_storm(&cfg) {

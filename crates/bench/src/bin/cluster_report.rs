@@ -118,35 +118,9 @@ fn shard_json(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let mut seed: u64 = 2008;
-    let mut out_path = String::from("BENCH_scope.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            // The smoke campaigns are currently the only shapes; the
-            // flag is accepted so every storm binary drives the same way.
-            "--smoke" => {}
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: cluster_report [--smoke] [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    // The smoke campaign is currently the only shape; `--smoke` is
+    // accepted so every report binary drives the same way.
+    let (_, seed, out_path) = bench::report_args("cluster_report", "BENCH_scope.json");
 
     let chaos = match run_chaos_storm(&ChaosStormConfig::smoke(seed)) {
         Ok(r) => r,

@@ -21,34 +21,14 @@ use resilience::{run_campaign, CampaignConfig};
 use std::fmt::Write as _;
 
 fn main() {
-    let mut smoke = false;
-    let mut seed: u64 = 0xD1EA_2008;
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: fault_campaign [--smoke] [--seed N] [--out PATH]"
-                );
+    let (smoke, seed, out_path) =
+        match bench::parse_report_args("fault_campaign", std::env::args().skip(1)) {
+            Ok((smoke, seed, out)) => (smoke, seed.unwrap_or(0xD1EA_2008), out),
+            Err(e) => {
+                eprintln!("{e}");
                 std::process::exit(2);
             }
-        }
-    }
+        };
 
     let cfg = if smoke {
         CampaignConfig::smoke(seed)

@@ -101,34 +101,7 @@ fn catalogue_section(out: &mut String) -> (usize, usize) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut seed: u64 = 2008;
-    let mut out_path = String::from("BENCH_obs.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: obs_report [--smoke] [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, seed, out_path) = bench::report_args("obs_report", "BENCH_obs.json");
 
     let mut doc = String::new();
     let _ = write!(

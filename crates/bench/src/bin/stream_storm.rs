@@ -21,35 +21,7 @@ use std::fmt::Write as _;
 use stream::{run_storm, StormConfig};
 
 fn main() {
-    let mut smoke = false;
-    let mut seed: u64 = 2008;
-    let mut out_path = String::from("BENCH_storm.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: stream_storm \
-                     [--smoke] [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, seed, out_path) = bench::report_args("stream_storm", "BENCH_storm.json");
 
     let cfg = if smoke {
         StormConfig::smoke(seed)

@@ -21,6 +21,60 @@ use picoga::PicogaParams;
 use riscsim::CrcKernel;
 use std::fmt::Write as _;
 
+/// Parses a report binary's `[--smoke] [--seed N] [--out PATH]`
+/// command line (`args` without the program name) into `(smoke, seed,
+/// out)`; flags not given stay `false`/`None`.
+///
+/// # Errors
+///
+/// The message to print before exiting with status 2: an unknown
+/// argument (with `bin`'s usage line), a non-integer seed, or `--out`
+/// without a path.
+pub fn parse_report_args(
+    bin: &str,
+    args: impl IntoIterator<Item = String>,
+) -> Result<(bool, Option<u64>, Option<String>), String> {
+    let (mut smoke, mut seed, mut out) = (false, None, None);
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--smoke" => smoke = true,
+            "--seed" => {
+                let v = args.next().unwrap_or_default();
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("--seed expects an unsigned integer, got {v:?}"))?;
+                seed = Some(n);
+            }
+            "--out" => out = Some(args.next().ok_or("--out expects a path")?),
+            other => {
+                return Err(format!(
+                    "unknown argument {other:?}; usage: {bin} [--smoke] [--seed N] [--out PATH]"
+                ))
+            }
+        }
+    }
+    Ok((smoke, seed, out))
+}
+
+/// The process's report command line (see [`parse_report_args`]) with
+/// the report defaults filled in: seed 2008 and `default_out`. A bad
+/// argument prints its message to stderr and exits with status 2.
+#[must_use]
+pub fn report_args(bin: &str, default_out: &str) -> (bool, u64, String) {
+    match parse_report_args(bin, std::env::args().skip(1)) {
+        Ok((smoke, seed, out)) => (
+            smoke,
+            seed.unwrap_or(2008),
+            out.unwrap_or_else(|| default_out.to_string()),
+        ),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The DREAM fabric clock (Hz).
 pub const CLOCK_HZ: f64 = 200e6;
 
@@ -433,6 +487,50 @@ pub fn lint_report() -> (String, LintSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<(bool, Option<u64>, Option<String>), String> {
+        parse_report_args("crash_storm", args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn report_args_accept_the_ci_forms() {
+        assert_eq!(parse(&[]), Ok((false, None, None)));
+        assert_eq!(
+            parse(&["--smoke", "--seed", "2008"]),
+            Ok((true, Some(2008), None))
+        );
+        assert_eq!(
+            parse(&["--smoke", "--seed", "2008", "--out", "BENCH_fault.json"]),
+            Ok((true, Some(2008), Some("BENCH_fault.json".to_string())))
+        );
+        assert_eq!(
+            parse(&["--out", "BENCH_lint.json"]),
+            Ok((false, None, Some("BENCH_lint.json".to_string())))
+        );
+    }
+
+    #[test]
+    fn report_args_reject_with_the_usage_messages() {
+        assert_eq!(
+            parse(&["--smoke", "--fast"]),
+            Err(
+                "unknown argument \"--fast\"; usage: crash_storm [--smoke] [--seed N] [--out PATH]"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            parse(&["--seed", "-3"]),
+            Err("--seed expects an unsigned integer, got \"-3\"".to_string())
+        );
+        assert_eq!(
+            parse(&["--seed"]),
+            Err("--seed expects an unsigned integer, got \"\"".to_string())
+        );
+        assert_eq!(
+            parse(&["--smoke", "--out"]),
+            Err("--out expects a path".to_string())
+        );
+    }
 
     #[test]
     fn table1_and_mapping_report_render() {

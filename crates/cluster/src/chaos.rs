@@ -17,26 +17,17 @@
 //! never make it wrong.
 
 use crate::breaker::BreakerState;
-use crate::cluster::{
-    Cluster, ClusterConfig, ClusterCounters, ClusterError, DownReason, ShardState,
-};
+use crate::cluster::{Cluster, ClusterCounters, ClusterError, DownReason, ShardState};
 use crate::placement::mix64;
 use crate::rebalance::RebalancePolicy;
 use crate::retry::{OpApply, OpToken};
 use crate::storm::{
-    apply_resumes, audit_spans, gen_plans, inject_random_fault, oracle_matches, Client,
-    ClusterStormConfig, ShardSummary, SpanAudit,
+    audit_spans, host_personalities, pick_migration, render_tail, shard_summaries,
+    ClusterStormConfig, FabricNoise, ShardSummary, SpanAudit, Traffic, DRAIN_TICKS,
 };
 use crate::upgrade::{RollingUpgrade, UpgradeStatus};
-use dream_lfsr::FlowOptions;
-use gf2::BitVec;
-use lfsr::crc::CrcSpec;
-use lfsr::scramble::ScramblerSpec;
 use resilience::rng::SplitMix64;
-use resilience::FaultInjector;
-use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
-use stream::ServiceError;
 
 /// How the chaos channel sabotages one migration transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -580,62 +571,169 @@ impl ChaosStormReport {
             "background    faults_injected={} sweeps_stored={}",
             self.faults_injected, c.checkpoints_stored
         );
-        let _ = writeln!(
-            s,
-            "spans         total={} open={} misuse={} failovers_unrooted={}",
-            self.spans.total, self.spans.open, self.spans.misuse, self.spans.failovers_unrooted
-        );
-        for line in &self.shard_lines {
-            let _ = writeln!(
-                s,
-                "shard {:<8} state={:<8} opened={} completed={} chunks={}",
-                line.name, line.state, line.opened, line.completed, line.chunks
-            );
-        }
-        let _ = writeln!(s, "ticks         {}", self.ticks_run);
-        let _ = writeln!(
-            s,
-            "verdict       {}",
-            if self.passed() { "PASS" } else { "FAIL" }
+        render_tail(
+            &mut s,
+            &self.spans,
+            &self.shard_lines,
+            self.ticks_run,
+            self.passed(),
         );
         s
     }
 }
 
-fn rehost_all(
-    cl: &mut Cluster,
-    cfg: &ClusterStormConfig,
-    shard: usize,
-) -> Result<(), ClusterError> {
-    let eth = *CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-    for &m in &cfg.crc_ms {
-        cl.host_crc_on(
-            shard,
-            &format!("eth{m}"),
-            &eth,
-            FlowOptions::dream_with_m(m),
-        )?;
-    }
-    if cfg.scrambler_m > 0 {
-        cl.host_scrambler_on(
-            shard,
-            &format!("wifi{}", cfg.scrambler_m),
-            ScramblerSpec::ieee80211(),
-            &FlowOptions::dream_with_m(cfg.scrambler_m),
-        )?;
-    }
-    Ok(())
+/// [`op_token`] tag of the migration a transfer fault forces through
+/// the sabotaged channel.
+pub(crate) const TAG_TRANSFER: u64 = 0;
+/// [`op_token`] tag of the per-tick random live migration.
+pub(crate) const TAG_MIGRATE: u64 = 1 << 63;
+/// [`op_token`] tag of the crash campaign's in-doubt migration.
+pub(crate) const TAG_IN_DOUBT: u64 = 0xD0B7;
+
+/// The idempotency token of one campaign-issued migration: the seed,
+/// the tick shifted clear of stream ids, the stream, and a per-call-site
+/// `tag`. The tag is applied after the shift, so call sites issuing in
+/// the same tick for the same stream never share a token.
+pub(crate) fn op_token(seed: u64, tick: u64, gid: u64, tag: u64) -> OpToken {
+    OpToken(mix64(seed ^ (tick << 20) ^ gid ^ tag))
 }
 
-/// Shards placement currently trusts: Active with a Closed breaker.
-/// Shared with the crash harness ([`crate::crash`]).
-pub(crate) fn eligible_shards(cl: &Cluster) -> Vec<usize> {
-    (0..cl.shard_count())
-        .filter(|&i| {
-            cl.shard_state(i) == Some(ShardState::Active)
-                && cl.breaker_state(i) == Some(BreakerState::Closed)
-        })
-        .collect()
+/// The disturbance side the chaos and crash campaigns share: the seeded
+/// scheduler, background and flap fabric noise, and tokenized
+/// migrations with duplicate-delivery chaos.
+pub(crate) struct ChaosRig {
+    /// Per-shard fabric fault injection.
+    pub(crate) noise: FabricNoise,
+    /// The seeded disturbance drawer.
+    pub(crate) scheduler: ChaosScheduler,
+    seed: u64,
+    fault_prob: f64,
+    migrate_prob: f64,
+    dup_prob: f64,
+    /// Redeliveries correctly suppressed as duplicates.
+    pub(crate) dups_suppressed: u64,
+    /// Redeliveries that applied again (must stay zero).
+    pub(crate) dup_violations: u64,
+    /// Every tokenized migration that applied, as `(token, stream,
+    /// target)`; after a recovery each must come back a duplicate.
+    pub(crate) applied: Vec<(OpToken, u64, usize)>,
+}
+
+impl ChaosRig {
+    /// Forks the per-shard injectors, then the scheduler's seed, from
+    /// `rng`.
+    pub(crate) fn new(
+        base: &ClusterStormConfig,
+        chaos: ChaosConfig,
+        dup_prob: f64,
+        rng: &mut SplitMix64,
+    ) -> Self {
+        let noise = FabricNoise::new(base.shards, rng);
+        ChaosRig {
+            noise,
+            scheduler: ChaosScheduler::new(chaos, rng.fork().next_u64()),
+            seed: base.seed,
+            fault_prob: base.fault_prob,
+            migrate_prob: base.migrate_prob,
+            dup_prob,
+            dups_suppressed: 0,
+            dup_violations: 0,
+            applied: Vec::new(),
+        }
+    }
+
+    /// One main-phase tick of disturbance: applies this tick's drawn
+    /// chaos events, then the background fabric noise. A storage fault
+    /// is handed back — only a campaign that owns a disk can apply it.
+    pub(crate) fn disturb(
+        &mut self,
+        cl: &mut Cluster,
+        rng: &mut SplitMix64,
+        tick: u64,
+        traffic: &mut Traffic,
+    ) -> Option<StorageChaos> {
+        // Slowdowns target only shards placement currently trusts:
+        // Active with a Closed breaker.
+        let eligible: Vec<usize> = (0..cl.shard_count())
+            .filter(|&i| {
+                cl.shard_state(i) == Some(ShardState::Active)
+                    && cl.breaker_state(i) == Some(BreakerState::Closed)
+            })
+            .collect();
+        let mut storage = None;
+        for event in self.scheduler.draw(&eligible, &cl.active_shards()) {
+            match event {
+                ChaosEvent::Slowdown { shard, ticks } => cl.chaos_slow_shard(shard, ticks),
+                ChaosEvent::TransferFault(mode) => {
+                    cl.chaos_arm_transfer(mode);
+                    // Force a migration through the sabotaged channel
+                    // right now: detach, digest mismatch, typed undo,
+                    // tokenized retry.
+                    if let Some((gid, target)) = pick_migration(cl, rng) {
+                        let token = op_token(self.seed, tick, gid, TAG_TRANSFER);
+                        self.migrate(cl, rng, token, gid, target);
+                    }
+                }
+                ChaosEvent::ByzantineHealth { shard, ticks } => cl.chaos_lie_health(shard, ticks),
+                ChaosEvent::FaultFlap { shard, burst } => {
+                    for _ in 0..burst {
+                        self.noise.inject(cl, shard);
+                    }
+                }
+                ChaosEvent::AdmissionStorm { extra } => traffic.pull_forward(extra),
+                ChaosEvent::StorageFault(kind) => storage = Some(kind),
+            }
+        }
+        self.noise.background(cl, rng, self.fault_prob);
+        storage
+    }
+
+    /// The per-tick random live migration under traffic, tokenized.
+    pub(crate) fn random_migration(&mut self, cl: &mut Cluster, rng: &mut SplitMix64, tick: u64) {
+        if rng.chance(self.migrate_prob) {
+            if let Some((gid, target)) = pick_migration(cl, rng) {
+                let token = op_token(self.seed, tick, gid, TAG_MIGRATE);
+                self.migrate(cl, rng, token, gid, target);
+            }
+        }
+    }
+
+    /// A tokenized migration with optional duplicate redelivery; both
+    /// deliveries carry the same token, so exactly one may apply.
+    /// Refusals are typed and leave the stream where it was.
+    fn migrate(
+        &mut self,
+        cl: &mut Cluster,
+        rng: &mut SplitMix64,
+        token: OpToken,
+        gid: u64,
+        target: usize,
+    ) {
+        if let Ok(OpApply::Applied) = cl.migrate_with_token(token, gid, target) {
+            self.applied.push((token, gid, target));
+            if rng.chance(self.dup_prob) {
+                self.redeliver(cl, (token, gid, target));
+            }
+        }
+    }
+
+    /// Redelivers an applied operation, which must come back a
+    /// duplicate.
+    fn redeliver(&mut self, cl: &mut Cluster, (token, gid, target): (OpToken, u64, usize)) {
+        match cl.migrate_with_token(token, gid, target) {
+            Ok(OpApply::Duplicate) => self.dups_suppressed += 1,
+            _ => self.dup_violations += 1,
+        }
+    }
+
+    /// Redelivers every applied token; each must be suppressed.
+    pub(crate) fn redeliver_applied(&mut self, cl: &mut Cluster) {
+        let applied = std::mem::take(&mut self.applied);
+        for &op in &applied {
+            self.redeliver(cl, op);
+        }
+        self.applied = applied;
+    }
 }
 
 /// Runs one chaos storm campaign.
@@ -649,20 +747,11 @@ pub(crate) fn eligible_shards(cl: &Cluster) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics if the configuration hosts no personalities.
-#[allow(clippy::too_many_lines)]
 pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, ClusterError> {
     let base = &cfg.storm;
     let mut rng = SplitMix64::new(base.seed);
-    let mut injectors: Vec<FaultInjector> = (0..base.shards)
-        .map(|_| FaultInjector::new(rng.fork().next_u64()))
-        .collect();
-    let mut scheduler = ChaosScheduler::new(cfg.chaos, rng.fork().next_u64());
-
-    let mut ccfg = ClusterConfig::homogeneous(base.shards, base.admission);
-    ccfg.checkpoint_interval = base.checkpoint_interval;
-    ccfg.health = crate::HealthPolicy {
-        abandoned_ticks: base.abandoned_ticks,
-    };
+    let mut rig = ChaosRig::new(base, cfg.chaos, cfg.dup_prob, &mut rng);
+    let mut ccfg = base.cluster_config();
     ccfg.rebalance = cfg.rebalance;
     for (shard, admission) in &cfg.shard_admission {
         if let Some(spec) = ccfg.shards.get_mut(*shard) {
@@ -670,61 +759,14 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
         }
     }
     let mut cl = Cluster::new(&ccfg);
-    let eth = *CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-    let mut names: Vec<(String, bool)> = Vec::new();
-    for &m in &base.crc_ms {
-        let name = format!("eth{m}");
-        cl.host_crc(&name, &eth, FlowOptions::dream_with_m(m))?;
-        names.push((name, true));
-    }
-    if base.scrambler_m > 0 {
-        let name = format!("wifi{}", base.scrambler_m);
-        cl.host_scrambler(
-            &name,
-            ScramblerSpec::ieee80211(),
-            &FlowOptions::dream_with_m(base.scrambler_m),
-        )?;
-        names.push((name, false));
-    }
-    assert!(!names.is_empty(), "chaos storm needs personalities");
-
-    let plans = gen_plans(base, &mut rng, &names);
-    let mut next_plan = 0usize;
-    let mut due: VecDeque<usize> = VecDeque::new();
-    let mut clients: Vec<Client> = Vec::new();
-    let mut seen_losses: BTreeSet<u64> = BTreeSet::new();
-    let mut completed = 0u64;
-    let mut mismatches = 0u64;
-    let mut restarts = 0u64;
-    let mut faults_injected = 0u64;
-    let mut dup_violations = 0u64;
-    let mut dups_suppressed = 0u64;
+    let names = host_personalities(&mut cl, base, None)?;
+    let mut traffic = Traffic::new(base, &mut rng, &names);
     let mut upgrade: Option<RollingUpgrade> = None;
     let mut upgraded = 0u64;
     let mut upgrade_skipped = 0u64;
     let mut tick = 0u64;
-    let drain_budget = base.ticks + 2000;
 
-    // A tokenized migration with optional duplicate redelivery; both
-    // deliveries carry the same token, so exactly one may apply.
-    let mut token_migrate =
-        |cl: &mut Cluster, rng: &mut SplitMix64, gid: u64, target: usize, tick: u64| -> bool {
-            let token = OpToken(mix64(base.seed ^ (tick << 20) ^ gid));
-            match cl.migrate_with_token(token, gid, target) {
-                Ok(OpApply::Applied) => {
-                    if rng.chance(cfg.dup_prob) {
-                        match cl.migrate_with_token(token, gid, target) {
-                            Ok(OpApply::Duplicate) => dups_suppressed += 1,
-                            _ => dup_violations += 1,
-                        }
-                    }
-                    true
-                }
-                Ok(OpApply::Duplicate) | Err(_) => false,
-            }
-        };
-
-    while completed < plans.len() as u64 && tick < drain_budget {
+    while traffic.unfinished() > 0 && tick < base.ticks + DRAIN_TICKS {
         tick += 1;
         let draining = tick > base.ticks;
 
@@ -738,72 +780,18 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
                 if cl.shard_state(shard) == Some(ShardState::Down(DownReason::Drained))
                     && cl.reopen_shard(shard).is_ok()
                 {
-                    rehost_all(&mut cl, base, shard)?;
+                    host_personalities(&mut cl, base, Some(shard))?;
                 }
             }
         }
 
         // The disturbance schedule runs through the main phase only:
         // the drain phase is chaos-free so the campaign converges and
-        // the gates measure recovery, not an endless siege.
+        // the gates measure recovery, not an endless siege. The plain
+        // chaos storm has no journal and `storage_prob` is zero, so no
+        // storage fault comes back.
         if !draining {
-            let eligible = eligible_shards(&cl);
-            let active = cl.active_shards();
-            for event in scheduler.draw(&eligible, &active) {
-                match event {
-                    ChaosEvent::Slowdown { shard, ticks } => cl.chaos_slow_shard(shard, ticks),
-                    ChaosEvent::TransferFault(mode) => {
-                        cl.chaos_arm_transfer(mode);
-                        // Force a migration through the sabotaged
-                        // channel right now: detach, digest mismatch,
-                        // typed undo, tokenized retry.
-                        let routed = cl.route_ids();
-                        let targets = cl.active_shards();
-                        if !routed.is_empty() && !targets.is_empty() {
-                            let gid = routed[rng.below(routed.len())];
-                            let target = targets[rng.below(targets.len())];
-                            token_migrate(&mut cl, &mut rng, gid, target, tick);
-                        }
-                    }
-                    ChaosEvent::ByzantineHealth { shard, ticks } => {
-                        cl.chaos_lie_health(shard, ticks);
-                    }
-                    ChaosEvent::FaultFlap { shard, burst } => {
-                        for _ in 0..burst {
-                            if let Some(svc) = cl.shard_service_mut(shard) {
-                                if inject_random_fault(svc, &mut injectors[shard]) {
-                                    faults_injected += 1;
-                                }
-                            }
-                        }
-                    }
-                    ChaosEvent::AdmissionStorm { extra } => {
-                        let mut pulled = 0usize;
-                        while pulled < extra && next_plan < plans.len() {
-                            due.push_back(next_plan);
-                            next_plan += 1;
-                            pulled += 1;
-                        }
-                    }
-                    // The plain chaos storm runs without a journal;
-                    // storage faults are applied by the crash harness
-                    // ([`crate::crash`]), which owns the simulated
-                    // disk. `storage_prob` is zero here, so this arm
-                    // never fires.
-                    ChaosEvent::StorageFault(_) => {}
-                }
-            }
-
-            // Baseline background fault noise, same as the storm.
-            for (shard, injector) in injectors.iter_mut().enumerate() {
-                if rng.chance(base.fault_prob) {
-                    if let Some(svc) = cl.shard_service_mut(shard) {
-                        if inject_random_fault(svc, injector) {
-                            faults_injected += 1;
-                        }
-                    }
-                }
-            }
+            rig.disturb(&mut cl, &mut rng, tick, &mut traffic);
         }
 
         // Scripted lifecycle events and the rolling upgrade kickoff.
@@ -822,7 +810,7 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
         if let Some(up) = upgrade.as_mut() {
             match up.step(&mut cl) {
                 UpgradeStatus::NeedsRehost(shard) => {
-                    rehost_all(&mut cl, base, shard)?;
+                    host_personalities(&mut cl, base, Some(shard))?;
                     upgraded += 1;
                 }
                 UpgradeStatus::Skipped(_) => upgrade_skipped += 1,
@@ -830,170 +818,31 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
                 UpgradeStatus::Done => upgrade = None,
             }
         }
-        apply_resumes(&mut cl, &mut clients, &plans);
 
-        while next_plan < plans.len() && (plans[next_plan].arrive_tick <= tick || draining) {
-            due.push_back(next_plan);
-            next_plan += 1;
-        }
-        while let Some(&pi) = due.front() {
-            let plan = &plans[pi];
-            let opened = if plan.is_crc {
-                cl.open_crc(&plan.personality, plan.priority, 4 + rng.below(8) as u64)
-            } else {
-                cl.open_scrambler(
-                    &plan.personality,
-                    plan.seed,
-                    plan.priority,
-                    4 + rng.below(8) as u64,
-                )
-            };
-            match opened {
-                Ok(gid) => {
-                    due.pop_front();
-                    clients.push(Client {
-                        plan: pi,
-                        gid,
-                        next_cut: 0,
-                        fed_all: false,
-                        parked: false,
-                        collected: BitVec::zeros(0),
-                    });
-                }
-                Err(ClusterError::NoEligibleShard) => break,
-                Err(e) => return Err(e),
-            }
-        }
-
-        for client in &mut clients {
-            if client.fed_all || client.parked {
-                continue;
-            }
-            if !draining && !rng.chance(0.8) {
-                continue;
-            }
-            let plan = &plans[client.plan];
-            let start = if client.next_cut == 0 {
-                0
-            } else {
-                plan.cuts[client.next_cut - 1]
-            };
-            let end = plan.cuts[client.next_cut];
-            match cl.feed(client.gid, &plan.data[start..end]) {
-                Ok(()) => {
-                    client.next_cut += 1;
-                    client.fed_all = client.next_cut == plan.cuts.len();
-                }
-                Err(ClusterError::Shard(
-                    ServiceError::StreamQueueFull { .. } | ServiceError::GlobalQueueFull { .. },
-                )) => {}
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Random live migration under traffic — tokenized, with
-        // duplicate-delivery chaos.
-        if rng.chance(base.migrate_prob) {
-            let routed = cl.route_ids();
-            let targets = cl.active_shards();
-            if !routed.is_empty() && !targets.is_empty() {
-                let gid = routed[rng.below(routed.len())];
-                let target = targets[rng.below(targets.len())];
-                token_migrate(&mut cl, &mut rng, gid, target, tick | (1 << 63));
-            }
-        }
-
+        traffic.before_tick(&mut cl, &mut rng, tick, draining)?;
+        rig.random_migration(&mut cl, &mut rng, tick);
         cl.tick();
-        apply_resumes(&mut cl, &mut clients, &plans);
-
-        for loss in cl.losses() {
-            if !seen_losses.insert(loss.id) {
-                continue;
-            }
-            if let Some(pos) = clients.iter().position(|c| c.gid == loss.id) {
-                let client = clients.swap_remove(pos);
-                due.push_back(client.plan);
-                restarts += 1;
-            }
-        }
-
-        for client in &mut clients {
-            if client.parked {
-                if cl.resume(client.gid).is_ok() {
-                    client.parked = false;
-                } else {
-                    continue;
-                }
-            }
-            if !plans[client.plan].is_crc {
-                if let Ok(bits) = cl.collect(client.gid) {
-                    client.collected = client.collected.concat(&bits);
-                }
-            }
-        }
-
-        let mut finished: Vec<usize> = Vec::new();
-        for (ci, client) in clients.iter_mut().enumerate() {
-            if !client.fed_all || client.parked {
-                continue;
-            }
-            match cl.finish(client.gid) {
-                Ok(out) => {
-                    if !oracle_matches(&plans[client.plan], &client.collected, &out) {
-                        mismatches += 1;
-                    }
-                    completed += 1;
-                    finished.push(ci);
-                }
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for ci in finished.into_iter().rev() {
-            clients.swap_remove(ci);
-        }
+        traffic.after_tick(&mut cl)?;
     }
 
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
-    let shard_lines = (0..base.shards)
-        .map(|i| {
-            let svc = cl.shard_service(i).expect("index in range");
-            let sc = svc.counters();
-            ShardSummary {
-                name: cl.shard_name(i).expect("index in range").to_string(),
-                state: cl.shard_state(i).map_or("?", |s| match s {
-                    ShardState::Active => "active",
-                    ShardState::Draining => "draining",
-                    ShardState::Down(r) => r.label(),
-                }),
-                opened: sc.opened,
-                completed: sc.completed,
-                chunks: sc.chunks_processed,
-            }
-        })
-        .collect();
     Ok(ChaosStormReport {
         seed: base.seed,
         shards: base.shards,
-        planned: plans.len() as u64,
-        completed,
-        restarts,
-        mismatches,
-        losses_unaccounted,
-        unfinished: plans.len() as u64 - completed,
-        dup_violations,
-        dups_suppressed,
-        chaos: scheduler.counts(),
-        faults_injected,
+        planned: traffic.planned(),
+        completed: traffic.completed,
+        restarts: traffic.restarts,
+        mismatches: traffic.mismatches,
+        losses_unaccounted: traffic.losses_unaccounted(&cl),
+        unfinished: traffic.unfinished(),
+        dup_violations: rig.dup_violations,
+        dups_suppressed: rig.dups_suppressed,
+        chaos: rig.scheduler.counts(),
+        faults_injected: rig.noise.injected,
         upgraded,
         upgrade_skipped,
         ticks_run: tick,
         counters: cl.counters(),
-        shard_lines,
+        shard_lines: shard_summaries(&cl),
         metrics: cl.metrics_merged(),
         spans: audit_spans(cl.trace()),
         tracer: cl.trace().clone(),
@@ -1004,6 +853,28 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn op_token_tags_never_collide() {
+        // Ticks at and above 1 << 44 overflow `tick << 20`.
+        const BIG: u64 = 1 << 44;
+        let ticks = [0, 1, 2, 239, 1 << 20, BIG - 1, BIG, BIG + 1, u64::MAX];
+        let gids = [0, 1, 2, 479, 1 << 20, u64::MAX];
+        let tags = [TAG_TRANSFER, TAG_MIGRATE, TAG_IN_DOUBT];
+        for &tick in &ticks {
+            for &gid in &gids {
+                let tokens: Vec<OpToken> = tags
+                    .iter()
+                    .map(|&tag| op_token(2008, tick, gid, tag))
+                    .collect();
+                for (i, a) in tokens.iter().enumerate() {
+                    for b in &tokens[i + 1..] {
+                        assert_ne!(a, b, "tick={tick:#x} gid={gid:#x}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn transfer_chaos_mangles_only_the_wire_copy() {

@@ -27,25 +27,16 @@
 //! stranded — plus coverage floors proving the campaign actually
 //! crashed, tore, rotted and rode the ladder.
 
-use crate::chaos::{
-    eligible_shards, ChaosConfig, ChaosCounts, ChaosEvent, ChaosScheduler, StorageChaos,
-};
-use crate::cluster::{Cluster, ClusterConfig, ClusterCounters, ClusterError, ShardState};
-use crate::placement::mix64;
+use crate::chaos::{op_token, ChaosConfig, ChaosCounts, ChaosRig, StorageChaos, TAG_IN_DOUBT};
+use crate::cluster::{Cluster, ClusterCounters, ClusterError, RecoveryReport};
 use crate::retry::{OpApply, OpToken};
 use crate::storm::{
-    apply_resumes, audit_spans, gen_plans, inject_random_fault, oracle_matches, Client,
-    ClusterStormConfig, ShardSummary, SpanAudit,
+    audit_spans, host_personalities, pick_migration, render_tail, shard_summaries,
+    ClusterStormConfig, ShardSummary, SpanAudit, Traffic, DRAIN_TICKS,
 };
-use dream_lfsr::FlowOptions;
-use gf2::BitVec;
-use lfsr::crc::CrcSpec;
-use lfsr::scramble::ScramblerSpec;
 use resilience::rng::SplitMix64;
-use resilience::FaultInjector;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use stream::ServiceError;
 use wal::{
     payload_ranges, CrashKind, FabricHasher, HasherStats, Journal, SharedDisk, StorageBackend,
 };
@@ -301,27 +292,12 @@ impl CrashStormReport {
             "fleet         migrations={} failovers={} faults_injected={} sweeps_stored={}",
             c.migrations, c.failovers, self.faults_injected, c.checkpoints_stored
         );
-        let _ = writeln!(
-            s,
-            "spans         total={} open={} misuse={} failovers_unrooted={}",
-            self.spans.total, self.spans.open, self.spans.misuse, self.spans.failovers_unrooted
-        );
-        for line in &self.shard_lines {
-            let _ = writeln!(
-                s,
-                "shard {:<8} state={:<8} opened={} completed={} chunks={}",
-                line.name, line.state, line.opened, line.completed, line.chunks
-            );
-        }
-        let _ = writeln!(s, "ticks         {}", self.ticks_run);
-        let _ = writeln!(
-            s,
-            "verdict       {}",
-            if self.passed() && self.exercised() {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+        render_tail(
+            &mut s,
+            &self.spans,
+            &self.shard_lines,
+            self.ticks_run,
+            self.passed() && self.exercised(),
         );
         s
     }
@@ -362,19 +338,15 @@ fn apply_bit_rot(disk: &SharedDisk, cold_end: usize, offset: u64, mask: u8) -> b
     true
 }
 
-fn rehost_all(cl: &mut Cluster, cfg: &ClusterStormConfig) -> Result<(), ClusterError> {
-    let eth = *CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-    for &m in &cfg.crc_ms {
-        cl.host_crc(&format!("eth{m}"), &eth, FlowOptions::dream_with_m(m))?;
+/// Adds an epoch's journal-hasher counters to the campaign total.
+fn bank_hasher(total: &mut HasherStats, cl: &Cluster) {
+    if let Some(j) = cl.journal() {
+        let s = j.hasher_stats();
+        total.frames += s.frames;
+        total.software_frames += s.software_frames;
+        total.ladder_runs += s.ladder_runs;
+        total.dmr_mismatches += s.dmr_mismatches;
     }
-    if cfg.scrambler_m > 0 {
-        cl.host_scrambler(
-            &format!("wifi{}", cfg.scrambler_m),
-            ScramblerSpec::ieee80211(),
-            &FlowOptions::dream_with_m(cfg.scrambler_m),
-        )?;
-    }
-    Ok(())
 }
 
 /// Runs one crash storm campaign.
@@ -389,55 +361,23 @@ fn rehost_all(cl: &mut Cluster, cfg: &ClusterStormConfig) -> Result<(), ClusterE
 ///
 /// Panics if the configuration hosts no personalities or the journal's
 /// fabric lane cannot be hosted (a capacity problem, not a fault).
-#[allow(clippy::too_many_lines)]
 pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, ClusterError> {
     let base = &cfg.storm;
     let mut rng = SplitMix64::new(base.seed);
-    let mut injectors: Vec<FaultInjector> = (0..base.shards)
-        .map(|_| FaultInjector::new(rng.fork().next_u64()))
-        .collect();
-    let mut scheduler = ChaosScheduler::new(cfg.chaos, rng.fork().next_u64());
+    let mut rig = ChaosRig::new(base, cfg.chaos, cfg.dup_prob, &mut rng);
     let mut crash_rng = rng.fork();
     let crash_points = draw_crash_points(&mut crash_rng, cfg.crashes, base.streams);
     let mut next_crash = 0usize;
 
-    let mut ccfg = ClusterConfig::homogeneous(base.shards, base.admission);
-    ccfg.checkpoint_interval = base.checkpoint_interval;
-    ccfg.health = crate::HealthPolicy {
-        abandoned_ticks: base.abandoned_ticks,
-    };
-
+    let ccfg = base.cluster_config();
     let disk = SharedDisk::new();
     let fabric =
         FabricHasher::with_m(cfg.hasher_m).expect("journal fabric lane hosts at configured M");
     let journal = Journal::new(Box::new(disk.clone()), Box::new(fabric));
     let mut cl = Cluster::new(&ccfg);
     cl.attach_journal(journal);
-    rehost_all(&mut cl, base)?;
-    let mut names: Vec<(String, bool)> = Vec::new();
-    for &m in &base.crc_ms {
-        names.push((format!("eth{m}"), true));
-    }
-    if base.scrambler_m > 0 {
-        names.push((format!("wifi{}", base.scrambler_m), false));
-    }
-    assert!(!names.is_empty(), "crash storm needs personalities");
-
-    let plans = gen_plans(base, &mut rng, &names);
-    let mut next_plan = 0usize;
-    let mut due: VecDeque<usize> = VecDeque::new();
-    let mut clients: Vec<Client> = Vec::new();
-    let mut seen_losses: BTreeSet<u64> = BTreeSet::new();
-    let mut completed = 0u64;
-    let mut mismatches = 0u64;
-    let mut restarts = 0u64;
-    let mut faults_injected = 0u64;
-    let mut dup_violations = 0u64;
-    let mut dups_suppressed = 0u64;
-    // Every tokenized migration the harness knows became durable
-    // (applied in a tick strictly before the last flush): after any
-    // later recovery, redelivery must come back Duplicate.
-    let mut durable_tokens: Vec<(OpToken, u64, usize)> = Vec::new();
+    let names = host_personalities(&mut cl, base, None)?;
+    let mut traffic = Traffic::new(base, &mut rng, &names);
     // Crash-kind armed by the storage chaos schedule.
     let mut armed_crash: Option<CrashKind> = None;
     // Superseded prefix of the disk: everything before the byte length
@@ -454,257 +394,56 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
     // the span table matters, the event ring stays with each epoch.
     let mut span_acc = obs::Tracer::new(1);
     let mut crashes = 0u64;
-    let mut recoveries = 0u64;
-    let mut torn_detected = 0u64;
-    let mut corrupt_detected = 0u64;
-    let mut dup_frames_detected = 0u64;
-    let mut frames_replayed = 0u64;
-    let mut streams_restored = 0u64;
-    let mut streams_lost = 0u64;
-    let mut tokens_restored = 0u64;
-    let mut migrations_committed = 0u64;
-    let mut migrations_aborted = 0u64;
+    // What every recovery replayed and rebuilt, in crash order.
+    let mut recovered: Vec<RecoveryReport> = Vec::new();
     let mut in_doubt_suppressed = 0u64;
     let mut in_doubt_reapplied = 0u64;
     let mut in_doubt_void = 0u64;
     let mut tick = 0u64;
-    let drain_budget = base.ticks + 2000;
 
-    while completed < plans.len() as u64 && tick < drain_budget {
+    while traffic.unfinished() > 0 && tick < base.ticks + DRAIN_TICKS {
         tick += 1;
         let draining = tick > base.ticks;
 
         if !draining {
             // Journal-lane chaos: force the Sarwate path, heal through
             // the ladder, and land an SEU the self-check must catch.
-            if cfg.degrade_tick > 0 && tick == cfg.degrade_tick {
-                if let Some(j) = cl.journal_mut() {
-                    j.hasher_mut().degrade();
+            // (Ticks start at 1, so a 0 = never tick never matches.)
+            if let Some(hasher) = cl.journal_mut().map(Journal::hasher_mut) {
+                if tick == cfg.degrade_tick {
+                    hasher.degrade();
                 }
-            }
-            if cfg.heal_tick > 0 && tick == cfg.heal_tick {
-                if let Some(j) = cl.journal_mut() {
-                    j.hasher_mut().heal();
+                if tick == cfg.heal_tick {
+                    hasher.heal();
                 }
-            }
-            if cfg.fault_tick > 0 && tick == cfg.fault_tick {
-                if let Some(j) = cl.journal_mut() {
-                    j.hasher_mut().inject_fault(base.seed ^ tick);
+                if tick == cfg.fault_tick {
+                    hasher.inject_fault(base.seed ^ tick);
                 }
             }
 
-            let eligible = eligible_shards(&cl);
-            let active = cl.active_shards();
-            for event in scheduler.draw(&eligible, &active) {
-                match event {
-                    ChaosEvent::Slowdown { shard, ticks } => cl.chaos_slow_shard(shard, ticks),
-                    ChaosEvent::TransferFault(mode) => {
-                        cl.chaos_arm_transfer(mode);
-                        let routed = cl.route_ids();
-                        let targets = cl.active_shards();
-                        if !routed.is_empty() && !targets.is_empty() {
-                            let gid = routed[rng.below(routed.len())];
-                            let target = targets[rng.below(targets.len())];
-                            let token = OpToken(mix64(base.seed ^ (tick << 20) ^ gid));
-                            if let Ok(OpApply::Applied) = cl.migrate_with_token(token, gid, target)
-                            {
-                                durable_tokens.push((token, gid, target));
-                                if rng.chance(cfg.dup_prob) {
-                                    match cl.migrate_with_token(token, gid, target) {
-                                        Ok(OpApply::Duplicate) => dups_suppressed += 1,
-                                        _ => dup_violations += 1,
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    ChaosEvent::ByzantineHealth { shard, ticks } => {
-                        cl.chaos_lie_health(shard, ticks);
-                    }
-                    ChaosEvent::FaultFlap { shard, burst } => {
-                        for _ in 0..burst {
-                            if let Some(svc) = cl.shard_service_mut(shard) {
-                                if inject_random_fault(svc, &mut injectors[shard]) {
-                                    faults_injected += 1;
-                                }
-                            }
-                        }
-                    }
-                    ChaosEvent::AdmissionStorm { extra } => {
-                        let mut pulled = 0usize;
-                        while pulled < extra && next_plan < plans.len() {
-                            due.push_back(next_plan);
-                            next_plan += 1;
-                            pulled += 1;
-                        }
-                    }
-                    ChaosEvent::StorageFault(kind) => match kind {
-                        StorageChaos::TornTail { keep } => {
-                            armed_crash = Some(CrashKind::Torn {
-                                keep: keep as usize,
-                            });
-                        }
-                        StorageChaos::LostSuffix => {
-                            armed_crash = Some(CrashKind::LostSuffix);
-                        }
-                        StorageChaos::DuplicateAppend => {
-                            disk.arm_duplicate();
-                        }
-                        StorageChaos::BitRot { offset, mask } => {
-                            if apply_bit_rot(&disk, cold_end, offset, mask) {
-                                rots_applied += 1;
-                            }
-                        }
-                    },
-                }
-            }
-
-            for (shard, injector) in injectors.iter_mut().enumerate() {
-                if rng.chance(base.fault_prob) {
-                    if let Some(svc) = cl.shard_service_mut(shard) {
-                        if inject_random_fault(svc, injector) {
-                            faults_injected += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        apply_resumes(&mut cl, &mut clients, &plans);
-
-        while next_plan < plans.len() && (plans[next_plan].arrive_tick <= tick || draining) {
-            due.push_back(next_plan);
-            next_plan += 1;
-        }
-        while let Some(&pi) = due.front() {
-            let plan = &plans[pi];
-            let opened = if plan.is_crc {
-                cl.open_crc(&plan.personality, plan.priority, 4 + rng.below(8) as u64)
-            } else {
-                cl.open_scrambler(
-                    &plan.personality,
-                    plan.seed,
-                    plan.priority,
-                    4 + rng.below(8) as u64,
-                )
-            };
-            match opened {
-                Ok(gid) => {
-                    due.pop_front();
-                    clients.push(Client {
-                        plan: pi,
-                        gid,
-                        next_cut: 0,
-                        fed_all: false,
-                        parked: false,
-                        collected: BitVec::zeros(0),
+            // Storage faults land on the disk this harness owns.
+            match rig.disturb(&mut cl, &mut rng, tick, &mut traffic) {
+                Some(StorageChaos::TornTail { keep }) => {
+                    armed_crash = Some(CrashKind::Torn {
+                        keep: keep as usize,
                     });
                 }
-                Err(ClusterError::NoEligibleShard) => break,
-                Err(e) => return Err(e),
-            }
-        }
-
-        for client in &mut clients {
-            if client.fed_all || client.parked {
-                continue;
-            }
-            if !draining && !rng.chance(0.8) {
-                continue;
-            }
-            let plan = &plans[client.plan];
-            let start = if client.next_cut == 0 {
-                0
-            } else {
-                plan.cuts[client.next_cut - 1]
-            };
-            let end = plan.cuts[client.next_cut];
-            match cl.feed(client.gid, &plan.data[start..end]) {
-                Ok(()) => {
-                    client.next_cut += 1;
-                    client.fed_all = client.next_cut == plan.cuts.len();
+                Some(StorageChaos::LostSuffix) => armed_crash = Some(CrashKind::LostSuffix),
+                Some(StorageChaos::DuplicateAppend) => disk.arm_duplicate(),
+                Some(StorageChaos::BitRot { offset, mask }) => {
+                    rots_applied += u64::from(apply_bit_rot(&disk, cold_end, offset, mask));
                 }
-                Err(ClusterError::Shard(
-                    ServiceError::StreamQueueFull { .. } | ServiceError::GlobalQueueFull { .. },
-                )) => {}
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
+                None => {}
             }
         }
 
-        if rng.chance(base.migrate_prob) {
-            let routed = cl.route_ids();
-            let targets = cl.active_shards();
-            if !routed.is_empty() && !targets.is_empty() {
-                let gid = routed[rng.below(routed.len())];
-                let target = targets[rng.below(targets.len())];
-                let token = OpToken(mix64(base.seed ^ (tick << 20) ^ gid ^ (1 << 63)));
-                if let Ok(OpApply::Applied) = cl.migrate_with_token(token, gid, target) {
-                    durable_tokens.push((token, gid, target));
-                    if rng.chance(cfg.dup_prob) {
-                        match cl.migrate_with_token(token, gid, target) {
-                            Ok(OpApply::Duplicate) => dups_suppressed += 1,
-                            _ => dup_violations += 1,
-                        }
-                    }
-                }
-            }
-        }
-
+        traffic.before_tick(&mut cl, &mut rng, tick, draining)?;
+        rig.random_migration(&mut cl, &mut rng, tick);
         cl.tick();
-        apply_resumes(&mut cl, &mut clients, &plans);
-
-        for loss in cl.losses() {
-            if !seen_losses.insert(loss.id) {
-                continue;
-            }
-            if let Some(pos) = clients.iter().position(|c| c.gid == loss.id) {
-                let client = clients.swap_remove(pos);
-                due.push_back(client.plan);
-                restarts += 1;
-            }
-        }
-
-        for client in &mut clients {
-            if client.parked {
-                if cl.resume(client.gid).is_ok() {
-                    client.parked = false;
-                } else {
-                    continue;
-                }
-            }
-            if !plans[client.plan].is_crc {
-                if let Ok(bits) = cl.collect(client.gid) {
-                    client.collected = client.collected.concat(&bits);
-                }
-            }
-        }
-
-        let mut finished: Vec<usize> = Vec::new();
-        for (ci, client) in clients.iter_mut().enumerate() {
-            if !client.fed_all || client.parked {
-                continue;
-            }
-            match cl.finish(client.gid) {
-                Ok(out) => {
-                    if !oracle_matches(&plans[client.plan], &client.collected, &out) {
-                        mismatches += 1;
-                    }
-                    completed += 1;
-                    finished.push(ci);
-                }
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for ci in finished.into_iter().rev() {
-            clients.swap_remove(ci);
-        }
+        traffic.after_tick(&mut cl)?;
 
         // ---- The crash point -------------------------------------
-        if next_crash < crash_points.len() && completed >= crash_points[next_crash] {
+        if next_crash < crash_points.len() && traffic.completed >= crash_points[next_crash] {
             next_crash += 1;
             let crash_idx = crashes;
             crashes += 1;
@@ -712,51 +451,20 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
             // Unflushed work for the tear to bite: a few clients feed
             // one more chunk (applied in memory, journaled as pending
             // bytes only), and one in-doubt tokenized migration runs
-            // entirely inside the flush window.
-            let mut fed = 0usize;
-            for client in &mut clients {
-                if fed >= 4 {
-                    break;
-                }
-                if client.fed_all || client.parked {
-                    continue;
-                }
-                let plan = &plans[client.plan];
-                let start = if client.next_cut == 0 {
-                    0
-                } else {
-                    plan.cuts[client.next_cut - 1]
-                };
-                let end = plan.cuts[client.next_cut];
-                if cl.feed(client.gid, &plan.data[start..end]).is_ok() {
-                    client.next_cut += 1;
-                    client.fed_all = client.next_cut == plan.cuts.len();
-                    fed += 1;
-                }
-            }
+            // entirely inside the flush window. Its token is keyed by
+            // the crash index, placed 20 bits above where ticks sit.
+            traffic.feed_unflushed(&mut cl, 4);
             let mut in_doubt: Option<(OpToken, u64, usize)> = None;
-            {
-                let routed = cl.route_ids();
-                let targets = cl.active_shards();
-                if !routed.is_empty() && !targets.is_empty() {
-                    let gid = routed[crash_rng.below(routed.len())];
-                    let target = targets[crash_rng.below(targets.len())];
-                    let token = OpToken(mix64(base.seed ^ (crash_idx << 40) ^ gid ^ 0xD0B7));
-                    if let Ok(OpApply::Applied) = cl.migrate_with_token(token, gid, target) {
-                        in_doubt = Some((token, gid, target));
-                    }
+            if let Some((gid, target)) = pick_migration(&cl, &mut crash_rng) {
+                let token = op_token(base.seed, crash_idx << 20, gid, TAG_IN_DOUBT);
+                if let Ok(OpApply::Applied) = cl.migrate_with_token(token, gid, target) {
+                    in_doubt = Some((token, gid, target));
                 }
             }
 
             // Power loss: bank the doomed epoch's hasher counters,
             // then drop the whole cluster. Only the disk survives.
-            if let Some(j) = cl.journal() {
-                let s = j.hasher_stats();
-                hasher_total.frames += s.frames;
-                hasher_total.software_frames += s.software_frames;
-                hasher_total.ladder_runs += s.ladder_runs;
-                hasher_total.dmr_mismatches += s.dmr_mismatches;
-            }
+            bank_hasher(&mut hasher_total, &cl);
             // Bank the doomed epoch's spans: whatever was still open
             // (cross-tick drains, upgrades) was truthfully ended by
             // the power loss, so close it as "crashed" before adopting
@@ -796,30 +504,16 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
                 .expect("journal fabric lane hosts at configured M");
             let (journal, replay) = Journal::recover(Box::new(disk.clone()), Box::new(fabric));
             cold_end = disk.durable_len();
-            torn_detected += u64::from(replay.torn_tail);
-            corrupt_detected += replay.corrupt_frames;
-            dup_frames_detected += replay.duplicate_frames;
-            frames_replayed += replay.frames_ok;
-            let (recovered, report) = Cluster::recover(&ccfg, journal, &replay);
-            cl = recovered;
-            recoveries += 1;
-            streams_restored += report.streams_restored;
-            streams_lost += report.streams_lost;
-            tokens_restored += report.tokens_restored;
-            migrations_committed += report.migrations_committed;
-            migrations_aborted += report.migrations_aborted;
+            let (next_epoch, report) = Cluster::recover(&ccfg, journal, &replay);
+            cl = next_epoch;
+            recovered.push(report);
 
             // Clients rewind to their resume offsets before feeding.
-            apply_resumes(&mut cl, &mut clients, &plans);
+            traffic.apply_resumes(&mut cl);
 
             // Idempotence across the crash: every token that was
             // durably applied must be suppressed on redelivery.
-            for (token, gid, target) in &durable_tokens {
-                match cl.migrate_with_token(*token, *gid, *target) {
-                    Ok(OpApply::Duplicate) => dups_suppressed += 1,
-                    _ => dup_violations += 1,
-                }
-            }
+            rig.redeliver_applied(&mut cl);
             // The in-doubt operation may resolve either way — commit
             // (suppressed) or abort (cleanly re-applied) — but never
             // double-applies: a re-apply only succeeds when the
@@ -829,7 +523,7 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
                     Ok(OpApply::Duplicate) => in_doubt_suppressed += 1,
                     Ok(OpApply::Applied) => {
                         in_doubt_reapplied += 1;
-                        durable_tokens.push((token, gid, target));
+                        rig.applied.push((token, gid, target));
                     }
                     Err(_) => in_doubt_void += 1,
                 }
@@ -837,73 +531,49 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
         }
     }
 
-    if let Some(j) = cl.journal() {
-        let s = j.hasher_stats();
-        hasher_total.frames += s.frames;
-        hasher_total.software_frames += s.software_frames;
-        hasher_total.ladder_runs += s.ladder_runs;
-        hasher_total.dmr_mismatches += s.dmr_mismatches;
-    }
+    bank_hasher(&mut hasher_total, &cl);
     // The surviving epoch's spans join the accumulator un-doctored:
     // anything still open here is a genuine leak the audit must flag.
     span_acc.adopt_spans(cl.trace());
     let span_audit = audit_spans(&span_acc);
     let dstats = disk.stats();
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
-    let shard_lines = (0..base.shards)
-        .map(|i| {
-            let svc = cl.shard_service(i).expect("index in range");
-            let sc = svc.counters();
-            ShardSummary {
-                name: cl.shard_name(i).expect("index in range").to_string(),
-                state: cl.shard_state(i).map_or("?", |s| match s {
-                    ShardState::Active => "active",
-                    ShardState::Draining => "draining",
-                    ShardState::Down(r) => r.label(),
-                }),
-                opened: sc.opened,
-                completed: sc.completed,
-                chunks: sc.chunks_processed,
-            }
-        })
-        .collect();
+    let total = |field: fn(&RecoveryReport) -> u64| recovered.iter().map(field).sum();
     Ok(CrashStormReport {
         seed: base.seed,
         shards: base.shards,
-        planned: plans.len() as u64,
-        completed,
-        restarts,
-        mismatches,
-        losses_unaccounted,
-        unfinished: plans.len() as u64 - completed,
-        dup_violations,
-        dups_suppressed,
+        planned: traffic.planned(),
+        completed: traffic.completed,
+        restarts: traffic.restarts,
+        mismatches: traffic.mismatches,
+        losses_unaccounted: traffic.losses_unaccounted(&cl),
+        unfinished: traffic.unfinished(),
+        dup_violations: rig.dup_violations,
+        dups_suppressed: rig.dups_suppressed,
         crashes,
-        recoveries,
+        recoveries: recovered.len() as u64,
         torn_tails: dstats.torn_tails,
         bit_rots: dstats.rotted_bytes,
         dup_appends: dstats.duplicated_appends,
-        torn_detected,
-        corrupt_detected,
-        dup_frames_detected,
-        frames_replayed,
-        streams_restored,
-        streams_lost,
-        tokens_restored,
-        migrations_committed,
-        migrations_aborted,
+        torn_detected: total(|r| u64::from(r.torn_tail)),
+        corrupt_detected: total(|r| r.corrupt_frames),
+        dup_frames_detected: total(|r| r.duplicate_frames),
+        frames_replayed: total(|r| r.frames_replayed),
+        streams_restored: total(|r| r.streams_restored),
+        streams_lost: total(|r| r.streams_lost),
+        tokens_restored: total(|r| r.tokens_restored),
+        migrations_committed: total(|r| r.migrations_committed),
+        migrations_aborted: total(|r| r.migrations_aborted),
         in_doubt_suppressed,
         in_doubt_reapplied,
         in_doubt_void,
         hasher_frames: hasher_total.frames,
         hasher_software_frames: hasher_total.software_frames,
         hasher_ladder_runs: hasher_total.ladder_runs,
-        chaos: scheduler.counts(),
-        faults_injected,
+        chaos: rig.scheduler.counts(),
+        faults_injected: rig.noise.injected,
         ticks_run: tick,
         counters: cl.counters(),
-        shard_lines,
+        shard_lines: shard_summaries(&cl),
         metrics: cl.metrics_merged(),
         trace_log: cl.trace().render(),
         spans: span_audit,

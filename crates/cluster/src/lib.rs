@@ -21,7 +21,8 @@
 //! * [`storm`] — the seeded cluster-wide stress harness behind the
 //!   `cluster_storm` binary: multi-shard traffic with random live
 //!   migrations, a mid-run forced kill and a planned drain, every
-//!   digest checked against a software oracle.
+//!   digest checked against a software oracle. Its client-traffic
+//!   engine also drives the chaos and crash campaigns.
 //! * [`breaker`] — per-shard circuit breakers (Closed → Open →
 //!   HalfOpen with hysteresis) fencing control-plane traffic to
 //!   misbehaving shards; the pure transition function is mirrored by

@@ -16,15 +16,7 @@
 //! shard's metrics registry), so placement stays a pure function of
 //! its inputs and campaigns replay identically.
 
-/// The 64-bit SplitMix finalizer — a full-avalanche mix, the same
-/// construction the deterministic RNG in `resilience` is built from.
-#[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub use resilience::rng::mix64;
 
 /// Stable 64-bit seed for a shard name (FNV-1a), so a shard keeps its
 /// rendezvous identity across cluster restarts and membership changes.

@@ -11,20 +11,25 @@
 //! campaign passes only with **zero** mismatches and zero silent
 //! losses.
 //!
+//! The client side of that simulation is `Traffic`, the one traffic
+//! engine the chaos ([`crate::chaos`]) and crash ([`crate::crash`])
+//! campaigns drive as well; each campaign scripts only its own
+//! disturbances around it.
+//!
 //! All randomness flows from one [`SplitMix64`]; every cluster and
 //! service structure iterates deterministically; two runs with the same
 //! seed render byte-identical reports (CI asserts this with `cmp`).
 
 use crate::cluster::{Cluster, ClusterConfig, ClusterCounters, ClusterError, ShardState};
 use dream_lfsr::FlowOptions;
-use gf2::BitVec;
-use lfsr::crc::{crc_bitwise, CrcSpec};
-use lfsr::scramble::{AdditiveScrambler, ScramblerSpec};
+use lfsr::crc::CrcSpec;
+use lfsr::scramble::ScramblerSpec;
 use resilience::rng::SplitMix64;
 use resilience::FaultInjector;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
-use stream::{AdmissionConfig, Priority, ServiceError, StreamOutput, StreamService};
+use stream::storm::{gen_plans, inject_random_fault, oracle_matches, Client, Plan};
+use stream::{AdmissionConfig, ServiceError, StormConfig};
 
 /// Shape of one cluster storm campaign.
 #[derive(Debug, Clone)]
@@ -222,26 +227,40 @@ impl ClusterStormReport {
             "lifecycle     drains_started={} shards_drained={} shards_down={} sweeps_stored={}",
             c.drains_started, c.shards_drained, c.shards_down, c.checkpoints_stored
         );
-        let _ = writeln!(
-            s,
-            "spans         total={} open={} misuse={} failovers_unrooted={}",
-            self.spans.total, self.spans.open, self.spans.misuse, self.spans.failovers_unrooted
-        );
-        for line in &self.shard_lines {
-            let _ = writeln!(
-                s,
-                "shard {:<8} state={:<8} opened={} completed={} chunks={}",
-                line.name, line.state, line.opened, line.completed, line.chunks
-            );
-        }
-        let _ = writeln!(s, "ticks         {}", self.ticks_run);
-        let _ = writeln!(
-            s,
-            "verdict       {}",
-            if self.passed() { "PASS" } else { "FAIL" }
+        render_tail(
+            &mut s,
+            &self.spans,
+            &self.shard_lines,
+            self.ticks_run,
+            self.passed(),
         );
         s
     }
+}
+
+/// Renders the closing lines every cluster campaign report shares: the
+/// span audit, one line per shard, the ticks run and the verdict.
+pub(crate) fn render_tail(
+    s: &mut String,
+    spans: &SpanAudit,
+    shard_lines: &[ShardSummary],
+    ticks_run: u64,
+    passed: bool,
+) {
+    let _ = writeln!(
+        s,
+        "spans         total={} open={} misuse={} failovers_unrooted={}",
+        spans.total, spans.open, spans.misuse, spans.failovers_unrooted
+    );
+    for line in shard_lines {
+        let _ = writeln!(
+            s,
+            "shard {:<8} state={:<8} opened={} completed={} chunks={}",
+            line.name, line.state, line.opened, line.completed, line.chunks
+        );
+    }
+    let _ = writeln!(s, "ticks         {ticks_run}");
+    let _ = writeln!(s, "verdict       {}", if passed { "PASS" } else { "FAIL" });
 }
 
 /// End-of-campaign causal-span audit: the invariants every storm
@@ -291,136 +310,393 @@ pub fn audit_spans(tracer: &obs::Tracer) -> SpanAudit {
     }
 }
 
-/// One planned logical stream. Shared with the chaos harness
-/// ([`crate::chaos`]), which runs the same traffic under injected
-/// adversity.
-pub(crate) struct Plan {
-    pub(crate) personality: String,
-    pub(crate) is_crc: bool,
-    pub(crate) seed: u64,
-    pub(crate) priority: Priority,
-    pub(crate) data: Vec<u8>,
-    /// Chunk boundaries (prefix sums, last == data.len()).
-    pub(crate) cuts: Vec<usize>,
-    pub(crate) arrive_tick: u64,
+/// Ticks a campaign may run past its main phase while the backlog
+/// drains.
+pub(crate) const DRAIN_TICKS: u64 = 2000;
+
+impl ClusterStormConfig {
+    /// The cluster configuration this traffic shape runs on.
+    pub(crate) fn cluster_config(&self) -> ClusterConfig {
+        let mut ccfg = ClusterConfig::homogeneous(self.shards, self.admission);
+        ccfg.checkpoint_interval = self.checkpoint_interval;
+        ccfg.health = crate::HealthPolicy {
+            abandoned_ticks: self.abandoned_ticks,
+        };
+        ccfg
+    }
 }
 
-/// Live client-side bookkeeping for an opened stream.
-pub(crate) struct Client {
-    pub(crate) plan: usize,
-    pub(crate) gid: u64,
-    pub(crate) next_cut: usize,
-    pub(crate) fed_all: bool,
-    pub(crate) parked: bool,
-    pub(crate) collected: BitVec,
-}
-
-pub(crate) fn gen_plans(
+/// Hosts the campaign's personalities — one CRC-32 per look-ahead
+/// factor, then the optional 802.11 scrambler — on every shard, or on
+/// `shard` alone when a drained or upgraded shard is rebuilt. Returns
+/// `(name, is_crc)` per personality, in hosting order.
+///
+/// # Panics
+///
+/// Panics if the configuration hosts no personalities.
+pub(crate) fn host_personalities(
+    cl: &mut Cluster,
     cfg: &ClusterStormConfig,
-    rng: &mut SplitMix64,
-    names: &[(String, bool)],
-) -> Vec<Plan> {
-    let per_tick = cfg.base_arrivals.max(1);
-    let mut plans = Vec::with_capacity(cfg.streams);
-    for i in 0..cfg.streams {
-        let (name, is_crc) = names[rng.below(names.len())].clone();
-        let n_chunks = cfg.chunks_per_stream.0
-            + rng.below(cfg.chunks_per_stream.1 - cfg.chunks_per_stream.0 + 1);
-        let mut data = Vec::new();
-        let mut cuts = Vec::new();
-        for _ in 0..n_chunks {
-            let len = cfg.chunk_bytes.0 + rng.below(cfg.chunk_bytes.1 - cfg.chunk_bytes.0 + 1);
-            for _ in 0..len {
-                data.push((rng.next_u64() & 0xFF) as u8);
-            }
-            cuts.push(data.len());
+    shard: Option<usize>,
+) -> Result<Vec<(String, bool)>, ClusterError> {
+    let eth = *CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
+    let mut names: Vec<(String, bool)> = Vec::new();
+    for &m in &cfg.crc_ms {
+        let name = format!("eth{m}");
+        let opts = FlowOptions::dream_with_m(m);
+        match shard {
+            Some(shard) => cl.host_crc_on(shard, &name, &eth, opts)?,
+            None => cl.host_crc(&name, &eth, opts)?,
         }
-        plans.push(Plan {
-            personality: name,
-            is_crc,
-            seed: rng.next_u64() & 0x7F,
-            priority: if rng.chance(0.3) {
-                Priority::High
-            } else {
-                Priority::Low
-            },
-            data,
-            cuts,
-            arrive_tick: 1 + (i / per_tick) as u64,
-        });
+        names.push((name, true));
     }
-    plans
-}
-
-pub(crate) fn inject_random_fault(svc: &mut StreamService, inj: &mut FaultInjector) -> bool {
-    let stuck = inj.rng().chance(0.15);
-    let resident: Vec<usize> = (0..16)
-        .filter(|&slot| svc.system().system().fabric().context(slot).is_some())
-        .collect();
-    if resident.is_empty() {
-        return false;
-    }
-    let slot = resident[inj.rng().below(resident.len())];
-    let op = svc
-        .system()
-        .system()
-        .fabric()
-        .context(slot)
-        .expect("listed above")
-        .clone();
-    let fault = if stuck {
-        inj.random_stuck_cell(&op)
-    } else {
-        inj.random_wire_flip(slot, &op)
-    };
-    fault.is_some_and(|fault| {
-        svc.system_mut()
-            .system_mut()
-            .fabric_mut()
-            .inject(&fault)
-            .is_ok()
-    })
-}
-
-/// Applies pending failover-resume notices: rewind the client to the
-/// checkpoint's re-feed offset and drop scrambler output the replayed
-/// stream will regenerate. Must run before the client feeds again —
-/// a chunk offered at the old position would skip the replay window.
-pub(crate) fn apply_resumes(cl: &mut Cluster, clients: &mut [Client], plans: &[Plan]) {
-    for resume in cl.take_failover_resumes() {
-        if let Some(client) = clients.iter_mut().find(|c| c.gid == resume.id) {
-            let plan = &plans[client.plan];
-            let cut = plan
-                .cuts
-                .partition_point(|&c| c as u64 <= resume.resume_from);
-            client.next_cut = cut;
-            client.fed_all = cut == plan.cuts.len();
-            client.parked = false;
-            let keep = usize::try_from(resume.delivered_bits).unwrap_or(usize::MAX);
-            if client.collected.len() > keep {
-                client.collected = client.collected.slice(0, keep);
-            }
-        }
-    }
-}
-
-pub(crate) fn oracle_matches(plan: &Plan, collected: &BitVec, out: &StreamOutput) -> bool {
-    if plan.is_crc {
-        let spec = CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-        match out {
-            StreamOutput::Crc(got) => *got == crc_bitwise(spec, &plan.data),
-            StreamOutput::Scrambled(_) => false,
-        }
-    } else {
+    if cfg.scrambler_m > 0 {
+        let name = format!("wifi{}", cfg.scrambler_m);
+        let opts = FlowOptions::dream_with_m(cfg.scrambler_m);
         let spec = ScramblerSpec::ieee80211();
-        let mut reference = AdditiveScrambler::with_seed(spec, plan.seed).expect("valid seed");
-        let frame = BitVec::from_le_bytes(&plan.data, plan.data.len() * 8);
-        let expected = reference.scramble(&frame);
-        match out {
-            StreamOutput::Scrambled(tail) => collected.concat(tail) == expected,
-            StreamOutput::Crc(_) => false,
+        match shard {
+            Some(shard) => cl.host_scrambler_on(shard, &name, spec, &opts)?,
+            None => cl.host_scrambler(&name, spec, &opts)?,
+        }
+        names.push((name, false));
+    }
+    assert!(!names.is_empty(), "storm needs at least one personality");
+    Ok(names)
+}
+
+/// One end-of-campaign summary line per shard, in index order.
+pub(crate) fn shard_summaries(cl: &Cluster) -> Vec<ShardSummary> {
+    (0..cl.shard_count())
+        .map(|i| {
+            let c = cl.shard_service(i).expect("index in range").counters();
+            ShardSummary {
+                name: cl.shard_name(i).expect("index in range").to_string(),
+                state: cl.shard_state(i).map_or("?", |s| match s {
+                    ShardState::Active => "active",
+                    ShardState::Draining => "draining",
+                    ShardState::Down(r) => r.label(),
+                }),
+                opened: c.opened,
+                completed: c.completed,
+                chunks: c.chunks_processed,
+            }
+        })
+        .collect()
+}
+
+/// Draws a random routed stream and a random active target shard for a
+/// migration, or `None` (drawing nothing) when either set is empty.
+pub(crate) fn pick_migration(cl: &Cluster, rng: &mut SplitMix64) -> Option<(u64, usize)> {
+    let routed = cl.route_ids();
+    let targets = cl.active_shards();
+    if routed.is_empty() || targets.is_empty() {
+        return None;
+    }
+    let gid = routed[rng.below(routed.len())];
+    let target = targets[rng.below(targets.len())];
+    Some((gid, target))
+}
+
+/// Per-shard fabric fault injectors and the count of faults that
+/// actually landed.
+pub(crate) struct FabricNoise {
+    injectors: Vec<FaultInjector>,
+    /// Faults injected across all shards.
+    pub(crate) injected: u64,
+}
+
+impl FabricNoise {
+    /// One injector per shard, each forked from `rng` in shard order.
+    pub(crate) fn new(shards: usize, rng: &mut SplitMix64) -> Self {
+        FabricNoise {
+            injectors: (0..shards)
+                .map(|_| FaultInjector::new(rng.fork().next_u64()))
+                .collect(),
+            injected: 0,
         }
     }
+
+    /// Background noise: every shard draws once and, with probability
+    /// `prob`, takes one fault.
+    pub(crate) fn background(&mut self, cl: &mut Cluster, rng: &mut SplitMix64, prob: f64) {
+        for shard in 0..self.injectors.len() {
+            if rng.chance(prob) {
+                self.inject(cl, shard);
+            }
+        }
+    }
+
+    /// Injects one fault into `shard`; dead shards are left untouched.
+    pub(crate) fn inject(&mut self, cl: &mut Cluster, shard: usize) {
+        if let Some(svc) = cl.shard_service_mut(shard) {
+            if inject_random_fault(svc, &mut self.injectors[shard]) {
+                self.injected += 1;
+            }
+        }
+    }
+}
+
+/// The client side of a cluster campaign, shared by the cluster, chaos
+/// and crash storms: the planned streams, the open queue, the live
+/// clients and the outcome counters. Each campaign scripts only its own
+/// disturbances around [`Traffic::before_tick`] and
+/// [`Traffic::after_tick`].
+#[derive(Default)]
+pub(crate) struct Traffic {
+    plans: Vec<Plan>,
+    next_plan: usize,
+    /// Plans waiting to open: arrivals, pulled-forward admission-storm
+    /// arrivals and typed-loss restarts.
+    due: VecDeque<usize>,
+    clients: Vec<Client>,
+    /// Every cluster-recorded loss surfaced so far.
+    seen_losses: BTreeSet<u64>,
+    /// Logical streams completed with a checked digest.
+    pub(crate) completed: u64,
+    /// Completed streams whose digest differed from the oracle.
+    pub(crate) mismatches: u64,
+    /// Typed-loss restarts (a lost stream re-opened from scratch).
+    pub(crate) restarts: u64,
+    /// Losses seen, by [`crate::LossReason`] discriminant.
+    pub(crate) lost_by_reason: [u64; 4],
+}
+
+impl Traffic {
+    /// Draws the campaign's plans from `rng` over the hosted `names`.
+    pub(crate) fn new(
+        cfg: &ClusterStormConfig,
+        rng: &mut SplitMix64,
+        names: &[(String, bool)],
+    ) -> Self {
+        // The stream storm's traffic shape without its overload window:
+        // a steady `base_arrivals` streams per tick.
+        let shape = StormConfig {
+            streams: cfg.streams,
+            chunk_bytes: cfg.chunk_bytes,
+            chunks_per_stream: cfg.chunks_per_stream,
+            overload_window: (0, 0),
+            base_arrivals: cfg.base_arrivals,
+            ..StormConfig::smoke(cfg.seed)
+        };
+        Traffic {
+            plans: gen_plans(&shape, rng, names),
+            ..Traffic::default()
+        }
+    }
+
+    /// Logical streams planned.
+    pub(crate) fn planned(&self) -> u64 {
+        self.plans.len() as u64
+    }
+
+    /// Logical streams not completed (yet).
+    pub(crate) fn unfinished(&self) -> u64 {
+        self.planned() - self.completed
+    }
+
+    /// Losses the cluster recorded that the campaign never surfaced.
+    pub(crate) fn losses_unaccounted(&self, cl: &Cluster) -> u64 {
+        cl.losses().len() as u64 - self.seen_losses.len() as u64
+    }
+
+    /// Moves the next `n` planned streams (fewer at the end of the
+    /// plan) into the open queue: this tick's arrivals, or the ones an
+    /// admission storm pulls forward.
+    pub(crate) fn pull_forward(&mut self, n: usize) {
+        let end = (self.next_plan + n).min(self.plans.len());
+        self.due.extend(self.next_plan..end);
+        self.next_plan = end;
+    }
+
+    /// The client phase before the cluster ticks: rewind failed-over
+    /// clients, queue this tick's arrivals (every remaining one while
+    /// `draining`), open what the cluster admits, and offer chunks.
+    pub(crate) fn before_tick(
+        &mut self,
+        cl: &mut Cluster,
+        rng: &mut SplitMix64,
+        tick: u64,
+        draining: bool,
+    ) -> Result<(), ClusterError> {
+        // A client whose stream a kill or recovery just replayed must
+        // rewind before it feeds at its (now stale) position.
+        self.apply_resumes(cl);
+        let arrived = self.plans[self.next_plan..]
+            .iter()
+            .take_while(|plan| draining || plan.arrive_tick <= tick)
+            .count();
+        self.pull_forward(arrived);
+        self.open_due(cl, rng)?;
+        self.feed(cl, rng, draining)
+    }
+
+    /// The client phase after the cluster ticks: apply failover
+    /// notices from in-tick retirements, restart typed losses, resume
+    /// and collect, and finish every fully fed stream.
+    pub(crate) fn after_tick(&mut self, cl: &mut Cluster) -> Result<(), ClusterError> {
+        self.apply_resumes(cl);
+        self.reconcile_losses(cl);
+        self.collect(cl);
+        self.finish(cl)
+    }
+
+    /// Applies pending failover-resume notices: rewind the client to
+    /// the checkpoint's re-feed offset and drop scrambler output the
+    /// replayed stream will regenerate. Must run before the client
+    /// feeds again — a chunk offered at the old position would skip the
+    /// replay window.
+    pub(crate) fn apply_resumes(&mut self, cl: &mut Cluster) {
+        for resume in cl.take_failover_resumes() {
+            if let Some(client) = self.clients.iter_mut().find(|c| c.id == resume.id) {
+                let plan = &self.plans[client.plan];
+                let cut = plan
+                    .cuts
+                    .partition_point(|&c| c as u64 <= resume.resume_from);
+                client.seek(plan, cut);
+                client.parked = false;
+                let keep = usize::try_from(resume.delivered_bits).unwrap_or(usize::MAX);
+                if client.collected.len() > keep {
+                    client.collected = client.collected.slice(0, keep);
+                }
+            }
+        }
+    }
+
+    /// Opens queued plans in order until every active shard refuses
+    /// (the rest back off to the next tick).
+    fn open_due(&mut self, cl: &mut Cluster, rng: &mut SplitMix64) -> Result<(), ClusterError> {
+        while let Some(&pi) = self.due.front() {
+            let plan = &self.plans[pi];
+            let deadline_in = 4 + rng.below(8) as u64;
+            let opened = if plan.is_crc {
+                cl.open_crc(&plan.personality, plan.priority, deadline_in)
+            } else {
+                cl.open_scrambler(&plan.personality, plan.seed, plan.priority, deadline_in)
+            };
+            match opened {
+                Ok(gid) => {
+                    self.due.pop_front();
+                    self.clients.push(Client::new(pi, gid));
+                }
+                Err(ClusterError::NoEligibleShard) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Each live client offers its next chunk (always while `draining`,
+    /// usually otherwise); backpressure is retried next tick and a loss
+    /// is reconciled after the tick.
+    fn feed(
+        &mut self,
+        cl: &mut Cluster,
+        rng: &mut SplitMix64,
+        draining: bool,
+    ) -> Result<(), ClusterError> {
+        for client in &mut self.clients {
+            if client.fed_all || client.parked || (!draining && !rng.chance(0.8)) {
+                continue;
+            }
+            match feed_next_chunk(cl, &self.plans[client.plan], client) {
+                Ok(())
+                | Err(
+                    ClusterError::Shard(
+                        ServiceError::StreamQueueFull { .. } | ServiceError::GlobalQueueFull { .. },
+                    )
+                    | ClusterError::StreamLost { .. }
+                    | ClusterError::ShardDown(_),
+                ) => {}
+                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Offers one more chunk on up to `n` live clients, in client
+    /// order, ignoring refusals — work a crash can catch unflushed.
+    pub(crate) fn feed_unflushed(&mut self, cl: &mut Cluster, n: usize) {
+        let mut fed = 0usize;
+        for client in &mut self.clients {
+            if fed >= n {
+                break;
+            }
+            if !client.fed_all
+                && !client.parked
+                && feed_next_chunk(cl, &self.plans[client.plan], client).is_ok()
+            {
+                fed += 1;
+            }
+        }
+    }
+
+    /// Typed losses restart the logical stream from scratch; the
+    /// seen-set proves every cluster-recorded loss was surfaced.
+    fn reconcile_losses(&mut self, cl: &Cluster) {
+        for loss in cl.losses() {
+            if !self.seen_losses.insert(loss.id) {
+                continue;
+            }
+            self.lost_by_reason[loss.reason as usize] += 1;
+            if let Some(pos) = self.clients.iter().position(|c| c.id == loss.id) {
+                let client = self.clients.swap_remove(pos);
+                self.due.push_back(client.plan);
+                self.restarts += 1;
+            }
+        }
+    }
+
+    /// Resumes shard-parked clients and collects scrambler output.
+    fn collect(&mut self, cl: &mut Cluster) {
+        for client in &mut self.clients {
+            if client.parked {
+                if cl.resume(client.id).is_err() {
+                    continue;
+                }
+                client.parked = false;
+            }
+            if !self.plans[client.plan].is_crc {
+                if let Ok(bits) = cl.collect(client.id) {
+                    client.collected = client.collected.concat(&bits);
+                }
+            }
+        }
+    }
+
+    /// Finishes every fully fed client and checks its digest against
+    /// the oracle.
+    fn finish(&mut self, cl: &mut Cluster) -> Result<(), ClusterError> {
+        let mut finished: Vec<usize> = Vec::new();
+        for (ci, client) in self.clients.iter_mut().enumerate() {
+            if !client.fed_all || client.parked {
+                continue;
+            }
+            match cl.finish(client.id) {
+                Ok(out) => {
+                    if !oracle_matches(&self.plans[client.plan], &client.collected, &out) {
+                        self.mismatches += 1;
+                    }
+                    self.completed += 1;
+                    finished.push(ci);
+                }
+                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
+                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        for ci in finished.into_iter().rev() {
+            self.clients.swap_remove(ci);
+        }
+        Ok(())
+    }
+}
+
+/// Offers `client`'s next chunk and advances it on acceptance.
+fn feed_next_chunk(cl: &mut Cluster, plan: &Plan, client: &mut Client) -> Result<(), ClusterError> {
+    cl.feed(client.id, plan.chunk(client.next_cut))?;
+    client.seek(plan, client.next_cut + 1);
+    Ok(())
 }
 
 /// Runs one cluster storm campaign.
@@ -434,65 +710,18 @@ pub(crate) fn oracle_matches(plan: &Plan, collected: &BitVec, out: &StreamOutput
 /// # Panics
 ///
 /// Panics if the configuration hosts no personalities.
-#[allow(clippy::too_many_lines)]
 pub fn run_cluster_storm(cfg: &ClusterStormConfig) -> Result<ClusterStormReport, ClusterError> {
     let mut rng = SplitMix64::new(cfg.seed);
-    let mut injectors: Vec<FaultInjector> = (0..cfg.shards)
-        .map(|_| FaultInjector::new(rng.fork().next_u64()))
-        .collect();
-
-    let mut ccfg = ClusterConfig::homogeneous(cfg.shards, cfg.admission);
-    ccfg.checkpoint_interval = cfg.checkpoint_interval;
-    ccfg.health = crate::HealthPolicy {
-        abandoned_ticks: cfg.abandoned_ticks,
-    };
-    let mut cl = Cluster::new(&ccfg);
-    let eth = *CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-    let mut names: Vec<(String, bool)> = Vec::new();
-    for &m in &cfg.crc_ms {
-        let name = format!("eth{m}");
-        cl.host_crc(&name, &eth, FlowOptions::dream_with_m(m))?;
-        names.push((name, true));
-    }
-    if cfg.scrambler_m > 0 {
-        let name = format!("wifi{}", cfg.scrambler_m);
-        cl.host_scrambler(
-            &name,
-            ScramblerSpec::ieee80211(),
-            &FlowOptions::dream_with_m(cfg.scrambler_m),
-        )?;
-        names.push((name, false));
-    }
-    assert!(!names.is_empty(), "storm needs at least one personality");
-
-    let plans = gen_plans(cfg, &mut rng, &names);
-    let mut next_plan = 0usize;
-    let mut due: VecDeque<usize> = VecDeque::new();
-    let mut clients: Vec<Client> = Vec::new();
-    let mut seen_losses: BTreeSet<u64> = BTreeSet::new();
-    let mut completed = 0u64;
-    let mut mismatches = 0u64;
-    let mut restarts = 0u64;
-    let mut faults_injected = 0u64;
-    let mut lost_by_reason = [0u64; 4];
+    let mut noise = FabricNoise::new(cfg.shards, &mut rng);
+    let mut cl = Cluster::new(&cfg.cluster_config());
+    let names = host_personalities(&mut cl, cfg, None)?;
+    let mut traffic = Traffic::new(cfg, &mut rng, &names);
     let mut tick = 0u64;
-    let drain_budget = cfg.ticks + 2000;
 
-    while completed < plans.len() as u64 && tick < drain_budget {
+    while traffic.unfinished() > 0 && tick < cfg.ticks + DRAIN_TICKS {
         tick += 1;
         let draining = tick > cfg.ticks;
-
-        // Per-shard fault injection (dead shards are left untouched).
-        for (shard, injector) in injectors.iter_mut().enumerate() {
-            if rng.chance(cfg.fault_prob) {
-                if let Some(svc) = cl.shard_service_mut(shard) {
-                    if inject_random_fault(svc, injector) {
-                        faults_injected += 1;
-                    }
-                }
-            }
-        }
-
+        noise.background(&mut cl, &mut rng, cfg.fault_prob);
         // The two scheduled lifecycle events.
         if cfg.drain_tick > 0 && tick == cfg.drain_tick {
             cl.drain_shard(cfg.drain_shard)?;
@@ -500,186 +729,38 @@ pub fn run_cluster_storm(cfg: &ClusterStormConfig) -> Result<ClusterStormReport,
         if cfg.kill_tick > 0 && tick == cfg.kill_tick {
             cl.kill_shard(cfg.kill_shard)?;
         }
-        // Rewind any client whose stream the kill just replayed,
-        // before it feeds at its (now stale) position.
-        apply_resumes(&mut cl, &mut clients, &plans);
-
-        // Arrivals due this tick join the open queue; lost streams
-        // already sit in it awaiting a restart.
-        while next_plan < plans.len() && (plans[next_plan].arrive_tick <= tick || draining) {
-            due.push_back(next_plan);
-            next_plan += 1;
-        }
-        while let Some(&pi) = due.front() {
-            let plan = &plans[pi];
-            let opened = if plan.is_crc {
-                cl.open_crc(&plan.personality, plan.priority, 4 + rng.below(8) as u64)
-            } else {
-                cl.open_scrambler(
-                    &plan.personality,
-                    plan.seed,
-                    plan.priority,
-                    4 + rng.below(8) as u64,
-                )
-            };
-            match opened {
-                Ok(gid) => {
-                    due.pop_front();
-                    clients.push(Client {
-                        plan: pi,
-                        gid,
-                        next_cut: 0,
-                        fed_all: false,
-                        parked: false,
-                        collected: BitVec::zeros(0),
-                    });
-                }
-                // Every active shard refused; back off to next tick.
-                Err(ClusterError::NoEligibleShard) => break,
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Feeds: each live client offers its next chunk; backpressure
-        // is retried next tick.
-        for client in &mut clients {
-            if client.fed_all || client.parked {
-                continue;
-            }
-            if !draining && !rng.chance(0.8) {
-                continue;
-            }
-            let plan = &plans[client.plan];
-            let start = if client.next_cut == 0 {
-                0
-            } else {
-                plan.cuts[client.next_cut - 1]
-            };
-            let end = plan.cuts[client.next_cut];
-            match cl.feed(client.gid, &plan.data[start..end]) {
-                Ok(()) => {
-                    client.next_cut += 1;
-                    client.fed_all = client.next_cut == plan.cuts.len();
-                }
-                Err(ClusterError::Shard(
-                    ServiceError::StreamQueueFull { .. } | ServiceError::GlobalQueueFull { .. },
-                )) => {}
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                // A loss is reconciled in the loss pass below.
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Random live migration under traffic.
+        traffic.before_tick(&mut cl, &mut rng, tick, draining)?;
+        // Random live migration under traffic. Refusals (fenced
+        // target, racing loss) are typed and leave the stream where it
+        // was.
         if rng.chance(cfg.migrate_prob) {
-            let routed = cl.route_ids();
-            let targets = cl.active_shards();
-            if !routed.is_empty() && !targets.is_empty() {
-                let gid = routed[rng.below(routed.len())];
-                let target = targets[rng.below(targets.len())];
-                // Refusals (fenced target, racing loss) are typed and
-                // leave the stream where it was.
+            if let Some((gid, target)) = pick_migration(&cl, &mut rng) {
                 let _ = cl.migrate(gid, target);
             }
         }
-
         cl.tick();
-
-        // Failover notices from in-tick retirements (health monitor,
-        // tick failures).
-        apply_resumes(&mut cl, &mut clients, &plans);
-
-        // Typed losses: restart the logical stream from scratch. The
-        // seen-set proves every cluster-recorded loss was surfaced.
-        for loss in cl.losses() {
-            if !seen_losses.insert(loss.id) {
-                continue;
-            }
-            lost_by_reason[loss.reason as usize] += 1;
-            if let Some(pos) = clients.iter().position(|c| c.gid == loss.id) {
-                let client = clients.swap_remove(pos);
-                due.push_back(client.plan);
-                restarts += 1;
-            }
-        }
-
-        // Collect scrambler output; resume shard-parked clients.
-        for client in &mut clients {
-            if client.parked {
-                if cl.resume(client.gid).is_ok() {
-                    client.parked = false;
-                } else {
-                    continue;
-                }
-            }
-            if !plans[client.plan].is_crc {
-                if let Ok(bits) = cl.collect(client.gid) {
-                    client.collected = client.collected.concat(&bits);
-                }
-            }
-        }
-
-        // Finish clients that fed everything.
-        let mut finished: Vec<usize> = Vec::new();
-        for (ci, client) in clients.iter_mut().enumerate() {
-            if !client.fed_all || client.parked {
-                continue;
-            }
-            match cl.finish(client.gid) {
-                Ok(out) => {
-                    if !oracle_matches(&plans[client.plan], &client.collected, &out) {
-                        mismatches += 1;
-                    }
-                    completed += 1;
-                    finished.push(ci);
-                }
-                Err(ClusterError::Shard(ServiceError::StreamParked(_))) => client.parked = true,
-                Err(ClusterError::StreamLost { .. } | ClusterError::ShardDown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for ci in finished.into_iter().rev() {
-            clients.swap_remove(ci);
-        }
+        traffic.after_tick(&mut cl)?;
     }
 
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
-    let shard_lines = (0..cfg.shards)
-        .map(|i| {
-            let svc = cl.shard_service(i).expect("index in range");
-            let c = svc.counters();
-            ShardSummary {
-                name: cl.shard_name(i).expect("index in range").to_string(),
-                state: cl.shard_state(i).map_or("?", |s| match s {
-                    ShardState::Active => "active",
-                    ShardState::Draining => "draining",
-                    ShardState::Down(r) => r.label(),
-                }),
-                opened: c.opened,
-                completed: c.completed,
-                chunks: c.chunks_processed,
-            }
-        })
-        .collect();
+    let [lost_no_checkpoint, lost_incompatible, lost_no_capacity, lost_corrupt] =
+        traffic.lost_by_reason;
     Ok(ClusterStormReport {
         seed: cfg.seed,
         shards: cfg.shards,
-        planned: plans.len() as u64,
-        completed,
-        restarts,
-        lost_no_checkpoint: lost_by_reason[0],
-        lost_incompatible: lost_by_reason[1],
-        lost_no_capacity: lost_by_reason[2],
-        lost_corrupt: lost_by_reason[3],
-        losses_unaccounted,
-        mismatches,
-        unfinished: plans.len() as u64 - completed,
-        faults_injected,
+        planned: traffic.planned(),
+        completed: traffic.completed,
+        restarts: traffic.restarts,
+        lost_no_checkpoint,
+        lost_incompatible,
+        lost_no_capacity,
+        lost_corrupt,
+        losses_unaccounted: traffic.losses_unaccounted(&cl),
+        mismatches: traffic.mismatches,
+        unfinished: traffic.unfinished(),
+        faults_injected: noise.injected,
         ticks_run: tick,
         counters: cl.counters(),
-        shard_lines,
+        shard_lines: shard_summaries(&cl),
         metrics: cl.metrics_merged(),
         spans: audit_spans(cl.trace()),
         tracer: cl.trace().clone(),

@@ -7,8 +7,20 @@
 //! generator conventionally used to seed larger PRNGs, so its statistical
 //! quality is well studied.
 
+/// The SplitMix64 finaliser: a full-avalanche bijective 64-bit mix (a
+/// variant of the MurmurHash3 finaliser) applied to `x` plus the Weyl
+/// increment. `mix64(x)` is the first draw of `SplitMix64::new(x)`.
+#[inline]
+#[must_use]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: a 64-bit state marched by a Weyl sequence and finished
-/// with a variant of the MurmurHash3 finaliser.
+/// with [`mix64`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -23,11 +35,9 @@ impl SplitMix64 {
 
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
+        let z = mix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform draw from `0..bound` (`bound` = 0 returns 0). Uses the
@@ -64,6 +74,13 @@ mod tests {
         assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(r.next_u64(), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn mix64_is_the_first_draw() {
+        for x in [0, 1, 2008, 0xD1EA_2008, u64::MAX, 1 << 63] {
+            assert_eq!(mix64(x), SplitMix64::new(x).next_u64(), "x={x:#x}");
+        }
     }
 
     #[test]

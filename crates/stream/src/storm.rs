@@ -213,28 +213,79 @@ impl StormReport {
 }
 
 /// One planned logical stream.
-struct Plan {
-    personality: String,
-    is_crc: bool,
-    seed: u64,
-    priority: Priority,
-    data: Vec<u8>,
+#[derive(Debug)]
+pub struct Plan {
+    /// The hosted personality it opens on.
+    pub personality: String,
+    /// CRC-32 digest (`true`) or 802.11 scrambler (`false`).
+    pub is_crc: bool,
+    /// Scrambler seed.
+    pub seed: u64,
+    /// Admission priority.
+    pub priority: Priority,
+    /// The whole payload.
+    pub data: Vec<u8>,
     /// Chunk boundaries (prefix sums, last == data.len()).
-    cuts: Vec<usize>,
-    arrive_tick: u64,
+    pub cuts: Vec<usize>,
+    /// First tick the stream is offered.
+    pub arrive_tick: u64,
+}
+
+impl Plan {
+    /// The payload bytes of chunk `i`.
+    #[must_use]
+    pub fn chunk(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.cuts[i - 1] };
+        &self.data[start..self.cuts[i]]
+    }
 }
 
 /// Live client-side bookkeeping for an opened stream.
-struct Client {
-    plan: usize,
-    id: u64,
-    next_cut: usize,
-    fed_all: bool,
-    parked: bool,
-    collected: BitVec,
+#[derive(Debug)]
+pub struct Client {
+    /// Index of its plan.
+    pub plan: usize,
+    /// The stream id the server handed out.
+    pub id: u64,
+    /// The next chunk to offer.
+    pub next_cut: usize,
+    /// Every chunk has been accepted.
+    pub fed_all: bool,
+    /// The server parked the stream; it must be resumed first.
+    pub parked: bool,
+    /// Scrambler output collected so far.
+    pub collected: BitVec,
 }
 
-fn gen_plans(cfg: &StormConfig, rng: &mut SplitMix64, names: &[(String, bool)]) -> Vec<Plan> {
+impl Client {
+    /// A fresh client of plan `plan` on stream `id`.
+    #[must_use]
+    pub fn new(plan: usize, id: u64) -> Self {
+        Client {
+            plan,
+            id,
+            next_cut: 0,
+            fed_all: false,
+            parked: false,
+            collected: BitVec::zeros(0),
+        }
+    }
+
+    /// Moves the feed position to chunk `cut` of `plan`.
+    pub fn seek(&mut self, plan: &Plan, cut: usize) {
+        self.next_cut = cut;
+        self.fed_all = cut == plan.cuts.len();
+    }
+}
+
+/// Draws `cfg.streams` plans from `rng`, each on a personality picked
+/// from `names` (`(name, is_crc)`). Arrival ticks start at 1 and fill
+/// `base_arrivals` (inside the overload window `spike_arrivals`) slots
+/// per tick; each count is at least one. Only the traffic-shape fields
+/// (`streams`, `chunk_bytes`, `chunks_per_stream`, `overload_window`,
+/// `base_arrivals`, `spike_arrivals`) are read.
+#[must_use]
+pub fn gen_plans(cfg: &StormConfig, rng: &mut SplitMix64, names: &[(String, bool)]) -> Vec<Plan> {
     let arrivals_at = |tick: u64| {
         let in_window = tick >= cfg.overload_window.0 && tick < cfg.overload_window.1;
         if in_window {
@@ -281,19 +332,16 @@ fn gen_plans(cfg: &StormConfig, rng: &mut SplitMix64, names: &[(String, bool)]) 
     plans
 }
 
-fn inject_random_fault(
-    service: &mut StreamService,
-    inj: &mut FaultInjector,
-    faults_injected: &mut u64,
-) {
-    // Pick a resident context to corrupt; prefer wire flips (SEUs),
-    // occasionally a physical stuck cell.
+/// Corrupts one resident fabric context of `service`: usually a wire
+/// flip (an SEU), occasionally a physical stuck cell. Returns whether a
+/// fault actually landed.
+pub fn inject_random_fault(service: &mut StreamService, inj: &mut FaultInjector) -> bool {
     let stuck = inj.rng().chance(0.15);
     let resident: Vec<usize> = (0..16)
         .filter(|&slot| service.system().system().fabric().context(slot).is_some())
         .collect();
     if resident.is_empty() {
-        return;
+        return false;
     }
     let slot = resident[inj.rng().below(resident.len())];
     let op = service
@@ -308,20 +356,21 @@ fn inject_random_fault(
     } else {
         inj.random_wire_flip(slot, &op)
     };
-    if let Some(fault) = fault {
-        if service
+    fault.is_some_and(|fault| {
+        service
             .system_mut()
             .system_mut()
             .fabric_mut()
             .inject(&fault)
             .is_ok()
-        {
-            *faults_injected += 1;
-        }
-    }
+    })
 }
 
-fn oracle_matches(plan: &Plan, collected: &BitVec, out: &StreamOutput) -> bool {
+/// Checks a finished stream against the pure-software oracle: the
+/// bitwise CRC-32 of the whole payload, or the reference 802.11
+/// scrambling of it (`collected` output plus the final tail).
+#[must_use]
+pub fn oracle_matches(plan: &Plan, collected: &BitVec, out: &StreamOutput) -> bool {
     if plan.is_crc {
         let spec = CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
         match out {
@@ -396,8 +445,8 @@ pub fn run_storm(cfg: &StormConfig) -> Result<StormReport, ServiceError> {
         tick += 1;
         let draining = tick > cfg.ticks;
 
-        if rng.chance(cfg.fault_prob) {
-            inject_random_fault(&mut service, &mut inj, &mut faults_injected);
+        if rng.chance(cfg.fault_prob) && inject_random_fault(&mut service, &mut inj) {
+            faults_injected += 1;
         }
 
         // Arrivals planned for this tick (all overdue ones during
@@ -416,14 +465,7 @@ pub fn run_storm(cfg: &StormConfig) -> Result<StormReport, ServiceError> {
             };
             match opened {
                 Ok(id) => {
-                    clients.push(Client {
-                        plan: next_plan,
-                        id,
-                        next_cut: 0,
-                        fed_all: false,
-                        parked: false,
-                        collected: BitVec::zeros(0),
-                    });
+                    clients.push(Client::new(next_plan, id));
                     next_plan += 1;
                 }
                 Err(
@@ -450,17 +492,8 @@ pub fn run_storm(cfg: &StormConfig) -> Result<StormReport, ServiceError> {
                 continue;
             }
             let plan = &plans[client.plan];
-            let start = if client.next_cut == 0 {
-                0
-            } else {
-                plan.cuts[client.next_cut - 1]
-            };
-            let end = plan.cuts[client.next_cut];
-            match service.feed(client.id, &plan.data[start..end]) {
-                Ok(()) => {
-                    client.next_cut += 1;
-                    client.fed_all = client.next_cut == plan.cuts.len();
-                }
+            match service.feed(client.id, plan.chunk(client.next_cut)) {
+                Ok(()) => client.seek(plan, client.next_cut + 1),
                 Err(
                     ServiceError::StreamQueueFull { .. } | ServiceError::GlobalQueueFull { .. },
                 ) => {}
@@ -553,6 +586,23 @@ pub fn run_storm(cfg: &StormConfig) -> Result<StormReport, ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_overload_window_arrives_base_per_tick() {
+        let names = vec![("eth8".to_string(), true), ("wifi16".to_string(), false)];
+        for base in [1usize, 3, 7] {
+            let cfg = StormConfig {
+                streams: 30,
+                overload_window: (0, 0),
+                base_arrivals: base,
+                ..StormConfig::smoke(9)
+            };
+            let plans = gen_plans(&cfg, &mut SplitMix64::new(9), &names);
+            for (i, plan) in plans.iter().enumerate() {
+                assert_eq!(plan.arrive_tick, 1 + (i / base) as u64, "base={base} i={i}");
+            }
+        }
+    }
 
     #[test]
     fn tiny_storm_is_exact_and_deterministic() {
