@@ -1,15 +1,11 @@
-//! The shared analysis IR: a fabric configuration at the 4-bit LUT
-//! grain.
+//! The shared analysis IR: a placed fabric configuration.
 //!
-//! The synthesis flow emits pure XOR networks ([`xornet::XorNetwork`]),
-//! which are linear by construction. The PiCoGA cell underneath is more
-//! general: its 4-bit ALU/LUT plane can be configured with an arbitrary
-//! truth table, and the planned Galois/nonlinear personality family will
-//! use exactly that freedom. [`FabricConfig`] is the common ground the
-//! analyzers work on: every cell is either an XOR fold (possibly
-//! complemented) or an explicit LUT, each with a physical row, so both
-//! today's linear configs and tomorrow's LUT configs flow through the
-//! same linearity prover and timing analyzer.
+//! The synthesis flow emits pure XOR networks ([`xornet::XorNetwork`])
+//! and maps each gate onto one PiCoGA cell's XOR facility. That is the
+//! only cell kind the flow produces, so it is the only kind the IR
+//! models: every cell is an XOR fold over its fan-in, optionally
+//! complemented (XNOR), placed in a physical row. [`FabricConfig`] is
+//! the common ground of the linearity prover and the timing analyzer.
 //!
 //! Signal numbering follows `xornet`: signals `0..n_inputs` are primary
 //! inputs, signal `n_inputs + i` is the output of cell `i`. Cells are
@@ -22,147 +18,6 @@ use picoga::PgaOperation;
 /// A signal index: primary inputs first, then one signal per cell.
 pub type SignalId = usize;
 
-/// Maximum LUT fan-in: the cell's lookup plane is addressed at the
-/// 4-bit grain, so an explicit truth table covers at most 4 inputs
-/// (2⁴ = 16 table bits).
-pub const MAX_LUT_INPUTS: usize = 4;
-
-/// A truth table over up to [`MAX_LUT_INPUTS`] inputs, bit `i` holding
-/// the output for input pattern `i` (pin 0 is the least significant
-/// address bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LutTable {
-    k: usize,
-    bits: u16,
-}
-
-impl LutTable {
-    /// Builds a `k`-input table. Bits beyond the 2^k used entries are
-    /// masked off so equal functions compare equal.
-    ///
-    /// # Panics
-    ///
-    /// When `k > MAX_LUT_INPUTS`.
-    #[must_use]
-    pub fn new(k: usize, bits: u16) -> Self {
-        assert!(
-            k <= MAX_LUT_INPUTS,
-            "LUT fan-in {k} exceeds the 4-bit grain"
-        );
-        let mask = if (1usize << k) >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << (1 << k)) - 1
-        };
-        LutTable {
-            k,
-            bits: bits & mask,
-        }
-    }
-
-    /// Number of address pins.
-    #[must_use]
-    pub fn pins(&self) -> usize {
-        self.k
-    }
-
-    /// The raw table bits.
-    #[must_use]
-    pub fn bits(&self) -> u16 {
-        self.bits
-    }
-
-    /// Evaluates the table on one input pattern.
-    #[must_use]
-    pub fn eval(&self, inputs: &[bool]) -> bool {
-        debug_assert_eq!(inputs.len(), self.k);
-        let mut addr = 0usize;
-        for (i, &b) in inputs.iter().enumerate() {
-            if b {
-                addr |= 1 << i;
-            }
-        }
-        self.bits >> addr & 1 == 1
-    }
-
-    /// The algebraic normal form: bit `m` of the result is the ANF
-    /// coefficient of the monomial whose variable set is `m` (the GF(2)
-    /// Möbius transform of the truth table).
-    #[must_use]
-    pub fn anf(&self) -> u16 {
-        let mut a = self.bits;
-        for i in 0..self.k {
-            let step = 1u32 << i;
-            // Butterfly: a[x] ^= a[x without bit i] for every x with bit i.
-            let mut lo_mask = 0u16;
-            for x in 0..(1u32 << self.k) {
-                if x & step != 0 && a >> (x - step) & 1 == 1 {
-                    lo_mask |= 1 << x;
-                }
-            }
-            a ^= lo_mask;
-        }
-        a
-    }
-
-    /// The algebraic degree: the largest monomial size with a set ANF
-    /// coefficient (0 for constants).
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        let anf = self.anf();
-        (0..1u32 << self.k)
-            .filter(|&m| anf >> m & 1 == 1)
-            .map(|m| m.count_ones() as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// `true` when the function has algebraic degree ≤ 1 (an XOR of a
-    /// pin subset, possibly complemented).
-    #[must_use]
-    pub fn is_affine(&self) -> bool {
-        self.degree() <= 1
-    }
-
-    /// Fixes pin `pin` to `value`, returning the restricted
-    /// `(k−1)`-input table (remaining pins keep their relative order).
-    #[must_use]
-    pub fn restrict(&self, pin: usize, value: bool) -> LutTable {
-        assert!(pin < self.k);
-        let mut bits = 0u16;
-        for x in 0..1u32 << (self.k - 1) {
-            let low = x & ((1 << pin) - 1);
-            let high = (x >> pin) << (pin + 1);
-            let addr = high | low | u32::from(value) << pin;
-            if self.bits >> addr & 1 == 1 {
-                bits |= 1 << x;
-            }
-        }
-        LutTable::new(self.k - 1, bits)
-    }
-
-    /// Identifies pin `b` with pin `a` (`a < b`), returning the
-    /// `(k−1)`-input diagonal table. Used when two pins carry the same
-    /// signal, where `x·x = x` over GF(2) can erase apparent
-    /// nonlinearity.
-    #[must_use]
-    pub fn merge_pins(&self, a: usize, b: usize) -> LutTable {
-        assert!(a < b && b < self.k);
-        let mut bits = 0u16;
-        for x in 0..1u32 << (self.k - 1) {
-            // Re-expand x (addresses of the merged table) into the
-            // original address with pin b copying pin a.
-            let low = x & ((1 << b) - 1);
-            let high = (x >> b) << (b + 1);
-            let addr = high | low | (x >> a & 1) << b;
-            if self.bits >> addr & 1 == 1 {
-                bits |= 1 << x;
-            }
-        }
-        LutTable::new(self.k - 1, bits)
-    }
-}
-
 /// What a configured cell computes from its fan-in signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellFunc {
@@ -173,8 +28,6 @@ pub enum CellFunc {
         /// Complement the XOR (adds the GF(2) constant 1).
         invert: bool,
     },
-    /// An explicit truth table over at most [`MAX_LUT_INPUTS`] pins.
-    Lut(LutTable),
 }
 
 /// One configured cell: its fan-in signals, its function, and the
@@ -257,15 +110,11 @@ impl FabricConfig {
     /// # Panics
     ///
     /// When an input references a not-yet-defined signal (the IR is
-    /// topological by construction) or a LUT's pin count disagrees with
-    /// the fan-in.
+    /// topological by construction).
     pub fn add_cell(&mut self, row: usize, inputs: Vec<SignalId>, func: CellFunc) -> SignalId {
         let next = self.n_inputs + self.cells.len();
         for &s in &inputs {
             assert!(s < next, "cell input {s} is not yet defined");
-        }
-        if let CellFunc::Lut(t) = func {
-            assert_eq!(t.pins(), inputs.len(), "LUT pin count != fan-in");
         }
         self.cells.push(CellIr {
             inputs,
@@ -339,16 +188,8 @@ impl FabricConfig {
             *v = inputs.get(i);
         }
         for (ci, cell) in self.cells.iter().enumerate() {
-            let out = match cell.func {
-                CellFunc::Xor { invert } => {
-                    cell.inputs.iter().fold(invert, |acc, &s| acc ^ values[s])
-                }
-                CellFunc::Lut(t) => {
-                    let pins: Vec<bool> = cell.inputs.iter().map(|&s| values[s]).collect();
-                    t.eval(&pins)
-                }
-            };
-            values[self.n_inputs + ci] = out;
+            let CellFunc::Xor { invert } = cell.func;
+            values[self.n_inputs + ci] = cell.inputs.iter().fold(invert, |acc, &s| acc ^ values[s]);
         }
         let mut out = BitVec::zeros(self.outputs.len());
         for (oi, tap) in self.outputs.iter().enumerate() {
@@ -398,57 +239,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lut_anf_and_degree() {
-        // AND(a, b): table 0b1000 → ANF = ab (degree 2).
-        let and = LutTable::new(2, 0b1000);
-        assert_eq!(and.degree(), 2);
-        assert!(!and.is_affine());
-        // XOR(a, b): table 0b0110 → degree 1.
-        let xor = LutTable::new(2, 0b0110);
-        assert_eq!(xor.degree(), 1);
-        assert!(xor.is_affine());
-        // XNOR: affine with constant.
-        let xnor = LutTable::new(2, 0b1001);
-        assert!(xnor.is_affine());
-        assert_eq!(xnor.anf() & 1, 1, "constant term set");
-        // Constants.
-        assert_eq!(LutTable::new(0, 1).degree(), 0);
-        assert_eq!(LutTable::new(3, 0).degree(), 0);
-    }
-
-    #[test]
-    fn lut_restrict_and_merge() {
-        // MUX(s, a, b) = s ? b : a on pins (0=s, 1=a, 2=b).
-        let mut bits = 0u16;
-        for addr in 0..8u16 {
-            let (s, a, b) = (addr & 1 == 1, addr >> 1 & 1 == 1, addr >> 2 & 1 == 1);
-            if if s { b } else { a } {
-                bits |= 1 << addr;
-            }
-        }
-        let mux = LutTable::new(3, bits);
-        assert_eq!(mux.degree(), 2, "mux is nonlinear");
-        // Restricting the select makes it a wire (degree 1).
-        assert!(mux.restrict(0, false).is_affine());
-        assert!(mux.restrict(0, true).is_affine());
-        // AND with both pins merged is a wire: x·x = x.
-        let and = LutTable::new(2, 0b1000);
-        let diag = and.merge_pins(0, 1);
-        assert!(diag.is_affine());
-        assert_eq!(diag.degree(), 1);
-    }
-
-    #[test]
     fn config_evaluates_mixed_cells() {
         let mut cfg = FabricConfig::new("mixed", 3);
         let x = cfg.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
-        let a = cfg.add_cell(1, vec![x, 2], CellFunc::Lut(LutTable::new(2, 0b1000)));
+        let a = cfg.add_cell(1, vec![x, 2], CellFunc::Xor { invert: true });
         cfg.add_output(Some(a));
         cfg.add_output(None);
-        // out0 = (i0 ^ i1) & i2.
+        // out0 = !(i0 ^ i1 ^ i2).
         for pat in 0..8u64 {
             let inp = BitVec::from_u64(pat, 3);
-            let expect = ((pat & 1 ^ (pat >> 1 & 1)) & (pat >> 2)) & 1 == 1;
+            let expect = pat.count_ones() % 2 == 0;
             let got = cfg.evaluate(&inp);
             assert_eq!(got.get(0), expect, "pattern {pat:03b}");
             assert!(!got.get(1));

@@ -5,9 +5,9 @@
 //! ([`ir::FabricConfig`], lowered from a mapped [`picoga::PgaOperation`]):
 //!
 //! 1. **Linearity/affineness prover** ([`linearity`]) — abstract
-//!    interpretation over GF(2) affine forms at the 4-bit LUT grain.
-//!    Classifies every cell linear/affine/nonlinear and proves (or
-//!    refutes) whole-network affineness. The resulting
+//!    interpretation over GF(2) affine forms. It folds the XOR cells
+//!    the flow places, classifies every cell linear or affine, and
+//!    proves each output's exact affine map. The resulting
 //!    [`LinearityCert`] is the soundness precondition of the runtime
 //!    basis probe: sweeping the zero vector plus the input basis is a
 //!    *complete* stuck-at test only for affine networks, so
@@ -20,9 +20,13 @@
 //! 3. **Bounded model checker** ([`mc`], [`models`]) — exhaustive
 //!    small-scope exploration of the serving state machines
 //!    (admission/overload ladder, park/resume, transactional fault
-//!    rollback, recovery ladder) with shortest-trace counterexamples.
-//!    The pre-fix `transact()` model rediscovers the PR 5 double-park
-//!    bug; the current model passes.
+//!    rollback, recovery ladder, cluster control plane, circuit
+//!    breaker, journal recovery) with shortest-trace counterexamples.
+//!    The overload-ladder step and the breaker transition function
+//!    are not modelled copies: [`LadderParams::next_level`] and
+//!    [`BreakerParams::step`] are the implementations `stream` and
+//!    `cluster` run. The pre-fix `transact()` model (dedup without
+//!    sort) rediscovers the double-park bug; the current model passes.
 //!
 //! A fourth, IR-free checker ([`spans`]) audits recorded operation
 //! traces instead of configurations: every causal span begun must end
@@ -44,7 +48,7 @@ pub mod models;
 pub mod spans;
 pub mod timing;
 
-pub use ir::{CellFunc, CellIr, FabricConfig, LutTable, SignalId, MAX_LUT_INPUTS};
+pub use ir::{CellFunc, CellIr, FabricConfig, SignalId};
 pub use linearity::{certify, CellClass, LinearityCert};
 pub use mc::{explore, Exploration, ExploreLimits, Model, Violation};
 pub use models::{
@@ -69,10 +73,11 @@ pub enum Severity {
 /// Stable analysis diagnostic codes (`AZ…`), disjoint from the verify
 /// crate's `FL…` lint codes: lints judge the *network* during
 /// synthesis, these judge the *placed configuration* as a whole.
+///
+/// AZ001 is retired: it flagged nonlinear LUT cells, which the IR can
+/// no longer express. The remaining codes keep their strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyzeCode {
-    /// AZ001 — a live cell computes a nonlinear function.
-    NonlinearCell,
     /// AZ002 — some primary output is not an affine function of the
     /// inputs, so the affine-complete basis probe is unsound.
     NonAffineOutput,
@@ -88,8 +93,7 @@ pub enum AnalyzeCode {
 
 impl AnalyzeCode {
     /// Every code, in stable order.
-    pub const ALL: [AnalyzeCode; 6] = [
-        AnalyzeCode::NonlinearCell,
+    pub const ALL: [AnalyzeCode; 5] = [
         AnalyzeCode::NonAffineOutput,
         AnalyzeCode::DepthOverRows,
         AnalyzeCode::RegisterPressure,
@@ -101,7 +105,6 @@ impl AnalyzeCode {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            AnalyzeCode::NonlinearCell => "AZ001",
             AnalyzeCode::NonAffineOutput => "AZ002",
             AnalyzeCode::DepthOverRows => "AZ003",
             AnalyzeCode::RegisterPressure => "AZ004",
@@ -114,7 +117,6 @@ impl AnalyzeCode {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            AnalyzeCode::NonlinearCell => "live cell computes a nonlinear function",
             AnalyzeCode::NonAffineOutput => "output not affine; basis probe unsound",
             AnalyzeCode::DepthOverRows => "pipeline depth exceeds fabric rows",
             AnalyzeCode::RegisterPressure => "row pressure exceeds usable row width",
@@ -237,9 +239,6 @@ pub struct AnalysisParams {
     pub max_row_pressure: usize,
     /// Maximum fan-out any single signal may drive.
     pub max_fanout: usize,
-    /// Require whole-network affineness (the basis-probe soundness
-    /// precondition). On for every LFSR-class personality.
-    pub require_affine: bool,
 }
 
 impl AnalysisParams {
@@ -250,7 +249,6 @@ impl AnalysisParams {
             max_rows: p.rows,
             max_row_pressure: p.cells_per_row,
             max_fanout: p.max_signal_fanout(),
-            require_affine: true,
         }
     }
 
@@ -264,8 +262,7 @@ impl AnalysisParams {
 /// The successful result of [`check_config`].
 #[derive(Debug, Clone)]
 pub struct ConfigAnalysis {
-    /// The linearity certificate (always affine on the `Ok` path when
-    /// `require_affine` is set).
+    /// The linearity certificate (always affine on the `Ok` path).
     pub cert: LinearityCert,
     /// Per-cell classification, indexed by cell.
     pub classes: Vec<CellClass>,
@@ -280,10 +277,9 @@ pub struct ConfigAnalysis {
 ///
 /// # Errors
 ///
-/// [`AnalyzeError`] when any error-severity finding fires: a live
-/// nonlinear cell, a non-affine output (when `params.require_affine`),
-/// pipeline depth over the row budget, row pressure over the usable
-/// width, or fan-out over the routing bound. The error's report also
+/// [`AnalyzeError`] when any error-severity finding fires: a non-affine
+/// output, pipeline depth over the row budget, row pressure over the
+/// usable width, or fan-out over the routing bound. The error's report also
 /// carries any warnings, so one failure shows the whole picture.
 pub fn check_config(
     cfg: &FabricConfig,
@@ -293,14 +289,7 @@ pub fn check_config(
     let timing = analyze_timing(cfg);
     let mut findings = Vec::new();
 
-    for &cell in &cert.offending_cells {
-        findings.push(Finding {
-            code: AnalyzeCode::NonlinearCell,
-            cell: Some(cell),
-            message: format!("cell {cell} computes a nonlinear function on a live path"),
-        });
-    }
-    if params.require_affine && !cert.affine {
+    if !cert.affine {
         findings.push(Finding {
             code: AnalyzeCode::NonAffineOutput,
             cell: None,
@@ -368,7 +357,7 @@ pub fn check_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{CellFunc, LutTable};
+    use crate::ir::CellFunc;
 
     fn xor_chain(rows: usize) -> FabricConfig {
         let mut cfg = FabricConfig::new("chain", 2);
@@ -383,7 +372,7 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let strs: Vec<&str> = AnalyzeCode::ALL.iter().map(|c| c.as_str()).collect();
-        assert_eq!(strs, ["AZ001", "AZ002", "AZ003", "AZ004", "AZ005", "AZ006"]);
+        assert_eq!(strs, ["AZ002", "AZ003", "AZ004", "AZ005", "AZ006"]);
         for c in AnalyzeCode::ALL {
             assert!(!c.summary().is_empty());
         }
@@ -395,18 +384,6 @@ mod tests {
         assert!(a.cert.affine);
         assert!(a.report.is_clean());
         assert_eq!(a.timing.rows_used, 3);
-    }
-
-    #[test]
-    fn live_nonlinear_lut_is_rejected_with_both_codes() {
-        let mut cfg = FabricConfig::new("and-gate", 2);
-        let s = cfg.add_cell(0, vec![0, 1], CellFunc::Lut(LutTable::new(2, 0b1000)));
-        cfg.add_output(Some(s));
-        let err = check_config(&cfg, &AnalysisParams::dream()).unwrap_err();
-        let codes: Vec<AnalyzeCode> = err.report.findings.iter().map(|f| f.code).collect();
-        assert!(codes.contains(&AnalyzeCode::NonlinearCell));
-        assert!(codes.contains(&AnalyzeCode::NonAffineOutput));
-        assert!(err.to_string().contains("AZ002"));
     }
 
     #[test]

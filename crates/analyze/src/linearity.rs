@@ -1,21 +1,24 @@
 //! The linearity/affineness prover: abstract interpretation of a
 //! [`FabricConfig`] over the domain of GF(2) affine forms.
 //!
-//! Every signal is assigned an abstract value: either an *affine form*
-//! `c ⊕ ⟨support, x⟩` (a constant bit plus an XOR of primary inputs) or
-//! *nonlinear* with the cell that first broke affineness. The transfer
-//! functions are exact for XOR cells and for LUT cells whose table —
-//! after restricting constant pins and merging pins that carry the same
-//! form (`x·x = x`) — has algebraic degree ≤ 1. A LUT of degree ≥ 2
-//! over independent affine pins is genuinely nonlinear, so the verdict
-//! is sound in both directions for live logic: an `affine: true`
-//! certificate means every primary output is an affine function of the
-//! primary inputs, which is exactly the precondition of the
-//! affine-complete stuck-at probe (`PicogaSim::affine_probe` sweeps the
-//! zero vector plus the input basis — a complete check *only* for
-//! affine functions).
+//! Every signal is assigned an *affine form* `c ⊕ ⟨support, x⟩` (a
+//! constant bit plus an XOR of primary inputs). The IR's only cell kind
+//! is an XOR fold, optionally complemented, and its transfer function
+//! on affine forms is exact: XOR the fan-in forms and flip the constant
+//! when the cell inverts. Folding the forms through the topologically
+//! ordered cells therefore computes each primary output's exact affine
+//! map, so the certificate's matrix and offset *are* the configuration
+//! (`cfg.evaluate(x) == matrix·x ⊕ offset`). That identity is exactly the
+//! precondition of the affine-complete stuck-at probe
+//! (`PicogaSim::affine_probe` sweeps the zero vector plus the input
+//! basis — a complete check *only* for affine functions).
+//!
+//! The certificate still carries an explicit [`LinearityCert::affine`]
+//! verdict: certificates are attached to personalities, cloned and
+//! merged across crates, and every consumer re-checks the flag rather
+//! than trusting where a certificate came from.
 
-use crate::ir::{CellFunc, FabricConfig, LutTable};
+use crate::ir::{CellFunc, FabricConfig};
 use gf2::{BitMat, BitVec};
 use std::fmt;
 
@@ -26,8 +29,6 @@ pub enum CellClass {
     Linear,
     /// Linear plus the constant 1.
     Affine,
-    /// Algebraic degree ≥ 2 over the primary inputs.
-    Nonlinear,
 }
 
 impl fmt::Display for CellClass {
@@ -35,7 +36,6 @@ impl fmt::Display for CellClass {
         f.write_str(match self {
             CellClass::Linear => "linear",
             CellClass::Affine => "affine",
-            CellClass::Nonlinear => "nonlinear",
         })
     }
 }
@@ -50,13 +50,6 @@ pub struct AffineForm {
 }
 
 impl AffineForm {
-    fn zero(n: usize) -> Self {
-        AffineForm {
-            support: BitVec::zeros(n),
-            constant: false,
-        }
-    }
-
     fn input(i: usize, n: usize) -> Self {
         AffineForm {
             support: BitVec::unit(i, n),
@@ -68,21 +61,6 @@ impl AffineForm {
         self.support.xor_assign(&other.support);
         self.constant ^= other.constant;
     }
-
-    /// `true` when the form is a constant (empty support).
-    fn as_const(&self) -> Option<bool> {
-        self.support.is_zero().then_some(self.constant)
-    }
-}
-
-/// Abstract value of one signal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum AbsVal {
-    Affine(AffineForm),
-    /// Nonlinear, blaming the cell index that first produced degree ≥ 2.
-    Nonlinear {
-        origin: usize,
-    },
 }
 
 /// The prover's verdict for one configuration: the per-lane certificate
@@ -101,38 +79,26 @@ pub struct LinearityCert {
     pub n_linear: usize,
     /// Cells whose dataflow value carries a constant term.
     pub n_affine: usize,
-    /// Cells whose dataflow value has degree ≥ 2.
-    pub n_nonlinear: usize,
-    /// Nonlinearity origins (cell indices) reaching a primary output,
-    /// sorted. Empty iff `affine`.
-    pub offending_cells: Vec<usize>,
     /// The proven linear map (output rows over input columns), present
-    /// when the whole network is affine.
+    /// on certificates [`certify`] issues.
     pub matrix: Option<BitMat>,
-    /// The proven constant offset per output, present when affine.
+    /// The proven constant offset per output, present alongside
+    /// `matrix`.
     pub offset: Option<BitVec>,
 }
 
 impl LinearityCert {
     /// Merges per-op certificates into one lane certificate: the lane
     /// is affine iff every op is. Matrix/offset are dropped (the ops
-    /// have different shapes); counts and offenders accumulate.
+    /// have different shapes); counts accumulate.
     #[must_use]
     pub fn merge(subject: impl Into<String>, parts: &[LinearityCert]) -> LinearityCert {
-        let mut offending = Vec::new();
-        for p in parts {
-            offending.extend(p.offending_cells.iter().copied());
-        }
-        offending.sort_unstable();
-        offending.dedup();
         LinearityCert {
             subject: subject.into(),
             affine: parts.iter().all(|p| p.affine),
             linear: parts.iter().all(|p| p.linear),
             n_linear: parts.iter().map(|p| p.n_linear).sum(),
             n_affine: parts.iter().map(|p| p.n_affine).sum(),
-            n_nonlinear: parts.iter().map(|p| p.n_nonlinear).sum(),
-            offending_cells: offending,
             matrix: None,
             offset: None,
         }
@@ -142,7 +108,7 @@ impl LinearityCert {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "'{}': {} ({} linear / {} affine / {} nonlinear cells)",
+            "'{}': {} ({} linear / {} affine cells)",
             self.subject,
             if self.affine {
                 "affine — basis probe complete"
@@ -150,8 +116,7 @@ impl LinearityCert {
                 "NOT affine — basis probe unsound"
             },
             self.n_linear,
-            self.n_affine,
-            self.n_nonlinear
+            self.n_affine
         )
     }
 }
@@ -161,184 +126,53 @@ impl LinearityCert {
 #[must_use]
 pub fn certify(cfg: &FabricConfig) -> (LinearityCert, Vec<CellClass>) {
     let n = cfg.n_inputs();
-    let mut values: Vec<AbsVal> = (0..n)
-        .map(|i| AbsVal::Affine(AffineForm::input(i, n)))
-        .collect();
+    let mut forms: Vec<AffineForm> = (0..n).map(|i| AffineForm::input(i, n)).collect();
     let mut classes = Vec::with_capacity(cfg.cells().len());
-
-    for (ci, cell) in cfg.cells().iter().enumerate() {
-        let val = match cell.func {
-            CellFunc::Xor { invert } => xor_transfer(&values, &cell.inputs, invert, n),
-            CellFunc::Lut(table) => lut_transfer(&values, &cell.inputs, table, n, ci),
+    for cell in cfg.cells() {
+        let CellFunc::Xor { invert } = cell.func;
+        let mut acc = AffineForm {
+            support: BitVec::zeros(n),
+            constant: invert,
         };
-        classes.push(match &val {
-            AbsVal::Affine(f) if !f.constant => CellClass::Linear,
-            AbsVal::Affine(_) => CellClass::Affine,
-            AbsVal::Nonlinear { .. } => CellClass::Nonlinear,
+        for &s in &cell.inputs {
+            acc.xor_assign(&forms[s]);
+        }
+        classes.push(if acc.constant {
+            CellClass::Affine
+        } else {
+            CellClass::Linear
         });
-        values.push(val);
+        forms.push(acc);
     }
 
-    let n_linear = classes.iter().filter(|c| **c == CellClass::Linear).count();
-    let n_affine = classes.iter().filter(|c| **c == CellClass::Affine).count();
-    let n_nonlinear = classes
-        .iter()
-        .filter(|c| **c == CellClass::Nonlinear)
-        .count();
-
-    let mut offending = Vec::new();
     let mut rows = Vec::with_capacity(cfg.outputs().len());
     let mut offset = BitVec::zeros(cfg.outputs().len());
-    let mut affine = true;
-    let mut linear = true;
     for (oi, tap) in cfg.outputs().iter().enumerate() {
         match tap {
             None => rows.push(BitVec::zeros(n)),
-            Some(s) => match &values[*s] {
-                AbsVal::Affine(f) => {
-                    rows.push(f.support.clone());
-                    if f.constant {
-                        offset.set(oi, true);
-                        linear = false;
-                    }
-                }
-                AbsVal::Nonlinear { origin } => {
-                    affine = false;
-                    linear = false;
-                    offending.push(*origin);
-                    rows.push(BitVec::zeros(n));
-                }
-            },
+            Some(s) => {
+                rows.push(forms[*s].support.clone());
+                offset.set(oi, forms[*s].constant);
+            }
         }
     }
-    offending.sort_unstable();
-    offending.dedup();
-
+    let n_affine = classes.iter().filter(|c| **c == CellClass::Affine).count();
     let cert = LinearityCert {
         subject: cfg.name().to_string(),
-        affine,
-        linear,
-        n_linear,
+        affine: true,
+        linear: offset.is_zero(),
+        n_linear: classes.len() - n_affine,
         n_affine,
-        n_nonlinear,
-        offending_cells: offending,
-        matrix: affine.then(|| BitMat::from_rows(rows)),
-        offset: affine.then_some(offset),
+        matrix: Some(BitMat::from_rows(rows)),
+        offset: Some(offset),
     };
     (cert, classes)
-}
-
-fn xor_transfer(values: &[AbsVal], inputs: &[usize], invert: bool, n: usize) -> AbsVal {
-    let mut acc = AffineForm::zero(n);
-    acc.constant = invert;
-    for &s in inputs {
-        match &values[s] {
-            AbsVal::Affine(f) => acc.xor_assign(f),
-            AbsVal::Nonlinear { origin } => {
-                // A nonlinear term survives the XOR unless the same
-                // signal appears an even number of times (x ⊕ x = 0).
-                let parity = inputs.iter().filter(|&&t| t == s).count();
-                if parity % 2 == 1 {
-                    return AbsVal::Nonlinear { origin: *origin };
-                }
-            }
-        }
-    }
-    AbsVal::Affine(acc)
-}
-
-fn lut_transfer(
-    values: &[AbsVal],
-    inputs: &[usize],
-    table: LutTable,
-    n: usize,
-    cell: usize,
-) -> AbsVal {
-    // Work on (pin → signal) pairs so restriction/merging can drop pins.
-    let mut pins: Vec<usize> = inputs.to_vec();
-    let mut t = table;
-
-    // 1. Restrict pins carrying constants.
-    let mut i = 0;
-    while i < pins.len() {
-        let c = match &values[pins[i]] {
-            AbsVal::Affine(f) => f.as_const(),
-            AbsVal::Nonlinear { .. } => None,
-        };
-        if let Some(v) = c {
-            t = t.restrict(i, v);
-            pins.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-
-    // 2. Merge pins carrying the same abstract value (x·x = x).
-    let mut a = 0;
-    while a < pins.len() {
-        let mut b = a + 1;
-        while b < pins.len() {
-            if values[pins[a]] == values[pins[b]] {
-                t = t.merge_pins(a, b);
-                pins.remove(b);
-            } else {
-                b += 1;
-            }
-        }
-        a += 1;
-    }
-
-    // 3. Drop pins the reduced table does not depend on.
-    let mut p = 0;
-    while p < pins.len() {
-        if t.restrict(p, false) == t.restrict(p, true) {
-            t = t.restrict(p, false);
-            pins.remove(p);
-        } else {
-            p += 1;
-        }
-    }
-
-    // 4. Degree check over the remaining, pairwise-distinct pins.
-    if !t.is_affine() {
-        // Degree ≥ 2 over distinct affine pins cannot collapse further
-        // unless the pins are GF(2)-dependent; treat as nonlinear (sound,
-        // and exact whenever the pins carry independent forms — always
-        // the case for distinct primary inputs).
-        if pins
-            .iter()
-            .any(|&s| matches!(values[s], AbsVal::Nonlinear { .. }))
-        {
-            for &s in &pins {
-                if let AbsVal::Nonlinear { origin } = values[s] {
-                    return AbsVal::Nonlinear { origin };
-                }
-            }
-        }
-        return AbsVal::Nonlinear { origin: cell };
-    }
-
-    // 5. Affine composition: out = a0 ⊕ Σ ai · form_i.
-    let anf = t.anf();
-    let mut acc = AffineForm::zero(n);
-    acc.constant = anf & 1 == 1;
-    for (pi, &s) in pins.iter().enumerate() {
-        if anf >> (1 << pi) & 1 == 1 {
-            match &values[s] {
-                AbsVal::Affine(f) => acc.xor_assign(f),
-                AbsVal::Nonlinear { origin } => {
-                    return AbsVal::Nonlinear { origin: *origin };
-                }
-            }
-        }
-    }
-    AbsVal::Affine(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{CellFunc, FabricConfig, LutTable};
+    use crate::ir::{CellFunc, FabricConfig};
 
     #[test]
     fn xor_network_certifies_linear_and_matches_matrix() {
@@ -372,66 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn live_nonlinear_lut_is_rejected_with_blame() {
-        let mut cfg = FabricConfig::new("and", 3);
-        let x = cfg.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
-        let a = cfg.add_cell(1, vec![x, 2], CellFunc::Lut(LutTable::new(2, 0b1000)));
-        cfg.add_output(Some(a));
-        let (cert, classes) = certify(&cfg);
-        assert!(!cert.affine);
-        assert_eq!(classes[1], CellClass::Nonlinear);
-        assert_eq!(cert.offending_cells, vec![1]);
-        assert!(cert.matrix.is_none());
-    }
-
-    #[test]
-    fn dead_nonlinear_cell_does_not_break_output_affineness() {
-        let mut cfg = FabricConfig::new("deadand", 2);
-        let _and = cfg.add_cell(0, vec![0, 1], CellFunc::Lut(LutTable::new(2, 0b1000)));
-        let x = cfg.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
-        cfg.add_output(Some(x));
-        let (cert, _) = certify(&cfg);
-        assert!(cert.affine, "dead nonlinearity cannot corrupt outputs");
-        assert_eq!(cert.n_nonlinear, 1, "…but it is still counted");
-    }
-
-    #[test]
-    fn mux_with_constant_select_is_affine() {
-        // MUX(s=const 0, a, b) = a even though the MUX table is degree 2.
-        let mut mux_bits = 0u16;
-        for addr in 0..8u16 {
-            let (s, a, b) = (addr & 1 == 1, addr >> 1 & 1 == 1, addr >> 2 & 1 == 1);
-            if if s { b } else { a } {
-                mux_bits |= 1 << addr;
-            }
-        }
-        let mut cfg = FabricConfig::new("muxconst", 2);
-        // Constant 0 via an empty XOR.
-        let zero = cfg.add_cell(0, vec![], CellFunc::Xor { invert: false });
-        let m = cfg.add_cell(
-            1,
-            vec![zero, 0, 1],
-            CellFunc::Lut(LutTable::new(3, mux_bits)),
-        );
-        cfg.add_output(Some(m));
-        let (cert, classes) = certify(&cfg);
-        assert!(cert.affine, "constant select linearises the mux");
-        assert_eq!(classes[1], CellClass::Linear);
-        let mat = cert.matrix.unwrap();
-        assert!(mat.get(0, 0) && !mat.get(0, 1), "selects input a");
-    }
-
-    #[test]
-    fn and_of_duplicated_signal_is_a_wire() {
-        let mut cfg = FabricConfig::new("xx", 2);
-        let x = cfg.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
-        let a = cfg.add_cell(1, vec![x, x], CellFunc::Lut(LutTable::new(2, 0b1000)));
-        cfg.add_output(Some(a));
-        let (cert, _) = certify(&cfg);
-        assert!(cert.affine, "x·x = x over GF(2)");
-    }
-
-    #[test]
     fn certificate_matrix_matches_evaluation() {
         use gf2::BitVec;
         let mut cfg = FabricConfig::new("check", 5);
@@ -457,10 +231,15 @@ mod tests {
         let g = ok.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
         ok.add_output(Some(g));
         let (cu, _) = certify(&ok);
-        let mut bad = FabricConfig::new("f", 2);
-        let h = bad.add_cell(0, vec![0, 1], CellFunc::Lut(LutTable::new(2, 0b1000)));
-        bad.add_output(Some(h));
-        let (cf, _) = certify(&bad);
+        // A doctored certificate: the prover never issues a non-affine
+        // one, but merged lane verdicts must still honour the flag.
+        let cf = LinearityCert {
+            affine: false,
+            linear: false,
+            matrix: None,
+            offset: None,
+            ..cu.clone()
+        };
         let lane = LinearityCert::merge("lane", &[cu.clone(), cf]);
         assert!(!lane.affine);
         assert!(LinearityCert::merge("lane2", &[cu.clone(), cu]).affine);

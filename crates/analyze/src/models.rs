@@ -16,14 +16,18 @@
 //! of every event interleaving, which is exactly where the unit tests
 //! had their blind spot.
 //!
-//! The ladder arithmetic ([`LadderParams::next_level`]) mirrors
-//! `stream::admission::AdmissionConfig::next_level` and is cross-checked
-//! against it by a property test in the `stream` crate, so the model
-//! cannot silently drift from the implementation.
+//! Two pure policies here are not abstractions but the shipped code
+//! itself: `stream::AdmissionConfig::next_level` calls
+//! [`LadderParams::next_level`], and `cluster::BreakerConfig` *is*
+//! [`BreakerParams`]. The model checker therefore explores exactly the
+//! ladder and breaker transitions the runtime takes; there is no copy
+//! that could drift.
 
 use crate::mc::Model;
 
-/// Overload-ladder thresholds, mirroring `stream::AdmissionConfig`.
+/// Overload-ladder thresholds: the four ladder fields of
+/// `stream::AdmissionConfig`, whose `next_level` calls
+/// [`LadderParams::next_level`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LadderParams {
     /// Occupancy percent entering RejectNew (rank 1).
@@ -37,7 +41,8 @@ pub struct LadderParams {
 }
 
 impl LadderParams {
-    /// The serving layer's default thresholds.
+    /// The serving layer's default thresholds (the ladder fields of
+    /// `AdmissionConfig::default`).
     #[must_use]
     pub fn serving_defaults() -> Self {
         LadderParams {
@@ -64,6 +69,7 @@ impl LadderParams {
     /// only once occupancy has dropped `exit_margin_pct` below the
     /// current rank's entry threshold.
     #[must_use]
+    #[inline]
     pub fn next_level(&self, current: u8, occ_pct: u32) -> u8 {
         let mut target = 0u8;
         for rank in 1..=3u8 {
@@ -1163,12 +1169,10 @@ impl Model for ClusterModel {
 // Circuit breaker
 // ---------------------------------------------------------------------
 
-/// Circuit-breaker thresholds, mirroring `cluster::BreakerConfig`.
-///
-/// [`BreakerParams::step`] must stay pointwise identical to
-/// `cluster::BreakerConfig::step`; the `breaker_mirror` test in the
-/// cluster crate proves it exhaustively, so the model cannot silently
-/// drift from the implementation.
+/// Circuit-breaker thresholds and the breaker's pure transition
+/// function. The cluster re-exports this type as
+/// `cluster::BreakerConfig`, so [`BreakerParams::step`] is the one
+/// implementation both the runtime breaker and [`BreakerModel`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerParams {
     /// Consecutive failures that trip Closed → Open (≥ 1).
@@ -1179,8 +1183,8 @@ pub struct BreakerParams {
     pub close_successes: u32,
 }
 
-/// Input codes for [`BreakerParams::step`] (matching
-/// `cluster::BreakerInput::code`).
+/// Input codes for [`BreakerParams::step`] (what
+/// `cluster::BreakerInput::code` returns). A guarded-operation success.
 pub const BRK_SUCCESS: u8 = 0;
 /// A guarded-operation failure.
 pub const BRK_FAILURE: u8 = 1;
@@ -1188,7 +1192,7 @@ pub const BRK_FAILURE: u8 = 1;
 pub const BRK_TICK: u8 = 2;
 
 impl BreakerParams {
-    /// The cluster's default thresholds.
+    /// The cluster's default thresholds (also [`Default`]).
     #[must_use]
     pub fn serving_defaults() -> Self {
         BreakerParams {
@@ -1204,7 +1208,16 @@ impl BreakerParams {
     /// successes). Escalation is instant, de-escalation deliberate —
     /// the breaker's hysteresis. Inputs are the
     /// [`BRK_SUCCESS`]/[`BRK_FAILURE`]/[`BRK_TICK`] codes.
+    ///
+    /// Closed trips to Open the instant `trip_failures` consecutive
+    /// failures accumulate. Open ignores successes, restarts its
+    /// cooldown on a failure, and moves to HalfOpen only after
+    /// `cool_ticks` quiet ticks. HalfOpen re-opens (cooldown restarted)
+    /// on any failure and closes only after `close_successes`
+    /// consecutive successes; ticks leave it unchanged. Out-of-range
+    /// ranks or inputs normalize to Closed with the streak reset.
     #[must_use]
+    #[inline]
     pub fn step(&self, rank: u8, count: u32, input: u8) -> (u8, u32) {
         let trip = self.trip_failures.max(1);
         let close = self.close_successes.max(1);
@@ -1241,6 +1254,12 @@ impl BreakerParams {
             (2, BRK_TICK) => (2, count),
             _ => (0, 0),
         }
+    }
+}
+
+impl Default for BreakerParams {
+    fn default() -> Self {
+        BreakerParams::serving_defaults()
     }
 }
 
@@ -1861,6 +1880,20 @@ mod tests {
             .iter()
             .any(|e| matches!(e, ClusterEvent::MigrateStart { .. })));
         assert!(v.trace.iter().any(|e| matches!(e, ClusterEvent::Kill(_))));
+    }
+
+    /// Saturation safety: stepping from the extreme count never panics
+    /// and stays in range, for every rank (out-of-range ones included)
+    /// and every input.
+    #[test]
+    fn breaker_step_is_total_at_extremes() {
+        let p = BreakerParams::default();
+        for rank in 0u8..6 {
+            for input in [BRK_SUCCESS, BRK_FAILURE, BRK_TICK] {
+                let (r, _) = p.step(rank, u32::MAX, input);
+                assert!(r <= 2, "rank {rank}, input {input} -> {r}");
+            }
+        }
     }
 
     #[test]

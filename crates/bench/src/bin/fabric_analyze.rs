@@ -9,8 +9,8 @@
 //!    through [`analyze::check_config`]: linearity/affineness
 //!    certificate, static timing, and the `AZ` fabric bounds. Every
 //!    catalogue personality must come back affine and clean.
-//! 2. **Nonlinear rejection demo** — a deliberately nonlinear LUT
-//!    configuration must be *rejected* with `AZ001` + `AZ002`; the
+//! 2. **Rejection demo** — a 25-row XOR chain, one row deeper than the
+//!    DREAM fabric, must be *rejected* with exactly `AZ003`; the
 //!    analyzer saying yes to everything would be vacuous.
 //! 3. **Timing cross-check** — the static timing model's per-row busy
 //!    and fill/drain predictions are compared against the `obs` fabric
@@ -53,15 +53,8 @@ fn analyse_op(
     let cfg = FabricConfig::from_op(op);
     let params = AnalysisParams::for_fabric(&PicogaParams::dream());
     let timing = analyze_timing(&cfg);
-    let (ok, affine, linear, n_nonlinear, warnings, errors) = match check_config(&cfg, &params) {
-        Ok(a) => (
-            true,
-            a.cert.affine,
-            a.cert.linear,
-            a.cert.n_nonlinear,
-            a.report.warnings(),
-            0,
-        ),
+    let (ok, affine, linear, warnings, errors) = match check_config(&cfg, &params) {
+        Ok(a) => (true, a.cert.affine, a.cert.linear, a.report.warnings(), 0),
         Err(e) => {
             let cert_affine = e
                 .report
@@ -72,11 +65,6 @@ fn analyse_op(
                 false,
                 cert_affine,
                 false,
-                e.report
-                    .findings
-                    .iter()
-                    .filter(|f| f.code == AnalyzeCode::NonlinearCell)
-                    .count(),
                 e.report.warnings(),
                 e.report.errors(),
             )
@@ -87,8 +75,7 @@ fn analyse_op(
          \"cells\":{},\"rows\":{},\"critical_path\":{},\"row_pressure\":{},\
          \"max_fanout\":{},\"dead_cells\":{},\"latency\":{},\"ii\":{},\
          \"stalls_per_issue\":{},\"affine\":{affine},\"linear\":{linear},\
-         \"nonlinear_cells\":{n_nonlinear},\"warnings\":{warnings},\
-         \"errors\":{errors},\"ok\":{ok}}}",
+         \"warnings\":{warnings},\"errors\":{errors},\"ok\":{ok}}}",
         obs::json_escape(spec),
         obs::json_escape(op_name),
         cfg.cells().len(),
@@ -162,14 +149,20 @@ fn catalogue_section(out: &mut String, ms: &[usize]) -> (usize, usize, usize) {
     (entries.len(), skipped.len(), unclean)
 }
 
-/// The analyzer must reject a deliberately nonlinear configuration.
-fn nonlinear_demo(out: &mut String) -> bool {
-    use analyze::{CellFunc, LutTable};
-    let mut cfg = FabricConfig::new("nonlinear-demo", 2);
-    // An AND gate: minterm x0&x1 only — degree 2, not affine.
-    let s = cfg.add_cell(0, vec![0, 1], CellFunc::Lut(LutTable::new(2, 0b1000)));
+/// The analyzer must reject a configuration that breaks a fabric
+/// bound: an XOR chain one row deeper than the DREAM fabric. Its
+/// fan-out (25) stays under the routing bound, so exactly `AZ003`
+/// fires.
+fn rejection_demo(out: &mut String) -> bool {
+    use analyze::CellFunc;
+    let params = AnalysisParams::dream();
+    let mut cfg = FabricConfig::new("rejection-demo", 2);
+    let mut s = cfg.add_cell(0, vec![0, 1], CellFunc::Xor { invert: false });
+    for row in 1..=params.max_rows {
+        s = cfg.add_cell(row, vec![s, 0], CellFunc::Xor { invert: false });
+    }
     cfg.add_output(Some(s));
-    let (rejected, codes) = match check_config(&cfg, &AnalysisParams::dream()) {
+    let (rejected, codes) = match check_config(&cfg, &params) {
         Ok(_) => (false, Vec::new()),
         Err(e) => {
             let mut codes: Vec<&str> = e.report.findings.iter().map(|f| f.code.as_str()).collect();
@@ -181,10 +174,10 @@ fn nonlinear_demo(out: &mut String) -> bool {
     let listed: Vec<String> = codes.iter().map(|c| format!("\"{c}\"")).collect();
     let _ = write!(
         out,
-        ",\"nonlinear_demo\":{{\"rejected\":{rejected},\"codes\":[{}]}}",
+        ",\"rejection_demo\":{{\"rejected\":{rejected},\"codes\":[{}]}}",
         listed.join(",")
     );
-    rejected && codes.contains(&"AZ001") && codes.contains(&"AZ002")
+    rejected && codes == ["AZ003"]
 }
 
 /// Static timing vs the live fabric profiler, one scrambler run per M.
@@ -411,7 +404,7 @@ fn main() {
     let _ = write!(doc, "\"codes\":[{}],", codes.join(","));
 
     let (mapped, unmappable, unclean) = catalogue_section(&mut doc, ms);
-    let demo_ok = nonlinear_demo(&mut doc);
+    let demo_ok = rejection_demo(&mut doc);
     let cross_ok = cross_check_section(&mut doc, &[8, 32, 128]);
     let mc_ok = mc_section(&mut doc);
     doc.push('}');
@@ -428,7 +421,7 @@ fn main() {
         "\"codes\":",
         "\"catalogue\":",
         "\"unmappable\":",
-        "\"nonlinear_demo\":",
+        "\"rejection_demo\":",
         "\"cross_check\":",
         "\"model_checking\":",
     ] {
@@ -451,7 +444,7 @@ fn main() {
          {unclean} unclean) -> {out_path}"
     );
     println!(
-        "gates: nonlinear-rejection={} timing-cross-check={} model-checking={}",
+        "gates: rejection={} timing-cross-check={} model-checking={}",
         if demo_ok { "pass" } else { "FAIL" },
         if cross_ok { "pass" } else { "FAIL" },
         if mc_ok { "pass" } else { "FAIL" },

@@ -11,9 +11,11 @@
 //! de-escalate deliberately.
 //!
 //! Like `AdmissionConfig::next_level`, the whole transition relation is
-//! one pure integer function — [`BreakerConfig::step`] — so the bounded
-//! model checker's `analyze::BreakerParams` can be proven pointwise
-//! identical to this implementation (`tests/breaker_mirror.rs`).
+//! one pure integer function, [`BreakerConfig::step`]. It lives in
+//! `analyze` as `BreakerParams::step`, so the bounded model checker's
+//! `BreakerModel` explores exactly the transitions this breaker takes.
+
+use analyze::{BRK_FAILURE, BRK_SUCCESS, BRK_TICK};
 
 /// Breaker rank for [`BreakerConfig::step`]: Closed.
 pub const RANK_CLOSED: u8 = 0;
@@ -35,93 +37,22 @@ pub enum BreakerInput {
 }
 
 impl BreakerInput {
-    /// Stable numeric encoding for the model mirror (0/1/2).
+    /// The input code [`BreakerConfig::step`] takes.
     #[must_use]
     pub fn code(self) -> u8 {
         match self {
-            BreakerInput::Success => 0,
-            BreakerInput::Failure => 1,
-            BreakerInput::Tick => 2,
+            BreakerInput::Success => BRK_SUCCESS,
+            BreakerInput::Failure => BRK_FAILURE,
+            BreakerInput::Tick => BRK_TICK,
         }
     }
 }
 
-/// Thresholds of the breaker state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip Closed → Open (≥ 1).
-    pub trip_failures: u32,
-    /// Ticks an Open breaker dwells before probing (Open → HalfOpen).
-    pub cool_ticks: u32,
-    /// Consecutive HalfOpen probe successes that close it (≥ 1).
-    pub close_successes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            trip_failures: 3,
-            cool_ticks: 6,
-            close_successes: 2,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// The pure transition function over `(rank, count)`:
-    ///
-    /// * rank 0 = Closed, `count` = consecutive failures so far;
-    /// * rank 1 = Open, `count` = cooldown ticks elapsed;
-    /// * rank 2 = HalfOpen, `count` = consecutive probe successes.
-    ///
-    /// Closed trips to Open the instant `trip_failures` consecutive
-    /// failures accumulate. Open ignores successes, restarts its
-    /// cooldown on a failure, and moves to HalfOpen only after
-    /// `cool_ticks` quiet ticks. HalfOpen re-opens (cooldown restarted)
-    /// on any failure and closes only after `close_successes`
-    /// consecutive successes; ticks leave it unchanged.
-    ///
-    /// Out-of-range ranks normalize to Closed with the streak reset —
-    /// the same defensive convention `OverloadLevel::from_rank` uses.
-    #[must_use]
-    pub fn step(&self, rank: u8, count: u32, input: BreakerInput) -> (u8, u32) {
-        let trip = self.trip_failures.max(1);
-        let close = self.close_successes.max(1);
-        match (rank, input) {
-            (RANK_CLOSED, BreakerInput::Success) => (RANK_CLOSED, 0),
-            (RANK_CLOSED, BreakerInput::Failure) => {
-                let f = count.saturating_add(1);
-                if f >= trip {
-                    (RANK_OPEN, 0)
-                } else {
-                    (RANK_CLOSED, f)
-                }
-            }
-            (RANK_CLOSED, BreakerInput::Tick) => (RANK_CLOSED, count),
-            (RANK_OPEN, BreakerInput::Success) => (RANK_OPEN, count),
-            (RANK_OPEN, BreakerInput::Failure) => (RANK_OPEN, 0),
-            (RANK_OPEN, BreakerInput::Tick) => {
-                let c = count.saturating_add(1);
-                if c >= self.cool_ticks {
-                    (RANK_HALF_OPEN, 0)
-                } else {
-                    (RANK_OPEN, c)
-                }
-            }
-            (RANK_HALF_OPEN, BreakerInput::Success) => {
-                let s = count.saturating_add(1);
-                if s >= close {
-                    (RANK_CLOSED, 0)
-                } else {
-                    (RANK_HALF_OPEN, s)
-                }
-            }
-            (RANK_HALF_OPEN, BreakerInput::Failure) => (RANK_OPEN, 0),
-            (RANK_HALF_OPEN, BreakerInput::Tick) => (RANK_HALF_OPEN, count),
-            _ => (RANK_CLOSED, 0),
-        }
-    }
-}
+/// Thresholds of the breaker state machine, and its pure transition
+/// function [`BreakerConfig::step`]. This is the model checker's own
+/// type: the runtime breaker and `analyze::BreakerModel` step through
+/// the same code.
+pub use analyze::BreakerParams as BreakerConfig;
 
 /// The breaker's externally visible state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,8 +115,7 @@ impl CircuitBreaker {
         BreakerState::from_rank(self.rank)
     }
 
-    /// Raw `(rank, count)` pair (the mirror test compares this against
-    /// the model's).
+    /// Raw `(rank, count)` pair, as journaled and restored.
     #[must_use]
     pub fn raw(&self) -> (u8, u32) {
         (self.rank, self.count)
@@ -246,7 +176,7 @@ impl CircuitBreaker {
 
     fn apply(&mut self, input: BreakerInput) -> Option<(&'static str, &'static str)> {
         let from = self.state();
-        let (rank, count) = self.cfg.step(self.rank, self.count, input);
+        let (rank, count) = self.cfg.step(self.rank, self.count, input.code());
         self.rank = rank;
         self.count = count;
         let to = self.state();

@@ -25,9 +25,8 @@
 //!   engine also drives the chaos and crash campaigns.
 //! * [`breaker`] — per-shard circuit breakers (Closed → Open →
 //!   HalfOpen with hysteresis) fencing control-plane traffic to
-//!   misbehaving shards; the pure transition function is mirrored by
-//!   `analyze::BreakerParams` and proven identical by
-//!   `tests/breaker_mirror.rs`.
+//!   misbehaving shards; the pure transition function is
+//!   `analyze::BreakerParams::step`, the one the model checker explores.
 //! * [`retry`] — bounded exponential retry with deterministic jitter,
 //!   plus the idempotent operation tokens that make retries (and
 //!   duplicate deliveries) unable to double-apply.

@@ -22,12 +22,7 @@ pub use resilience::rng::mix64;
 /// rendezvous identity across cluster restarts and membership changes.
 #[must_use]
 pub fn shard_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    crate::transfer_digest(name.as_bytes())
 }
 
 /// One shard as the placement function sees it.

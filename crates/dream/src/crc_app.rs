@@ -55,8 +55,8 @@ pub enum BuildError {
         source: SimError,
     },
     /// Whole-configuration static analysis rejected a mapped operation
-    /// (strict-mode flows only): a live nonlinear cell, a non-affine
-    /// output (unsound basis probe), or a fabric bound exceeded.
+    /// (strict-mode flows only): a non-affine output (unsound basis
+    /// probe) or a fabric bound exceeded.
     Analyze {
         /// Which operation failed analysis.
         op: &'static str,

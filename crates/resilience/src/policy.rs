@@ -866,7 +866,7 @@ mod tests {
             .unwrap();
 
         // Doctor the lane's linearity certificate: pretend the prover
-        // found a nonlinear cell. Every rung's lane_clean check runs
+        // could not show it affine. Every rung's lane_clean check runs
         // the datapath sweep, which must now refuse rather than certify.
         let mut p = build_personality("eth", &spec, &FlowOptions::dream_with_m(32)).unwrap();
         let genuine = p.linearity.take().expect("dream presets attach a cert");
@@ -874,8 +874,6 @@ mod tests {
             affine: false,
             linear: false,
             n_affine: 0,
-            n_nonlinear: 1,
-            offending_cells: vec![3],
             matrix: None,
             offset: None,
             ..genuine

@@ -7,6 +7,11 @@
 //! hysteresis (a level is entered at its threshold but only left
 //! `exit_margin_pct` below it) so one oscillating client cannot make
 //! the service flap between shedding regimes.
+//!
+//! The ladder step itself is [`LadderParams::next_level`]: the runtime
+//! and the `analyze` model checker call the same function.
+
+use analyze::LadderParams;
 
 /// A deterministic token bucket: `refill` tokens per tick, capped at
 /// `capacity`; opening a stream takes one token.
@@ -77,9 +82,8 @@ impl OverloadLevel {
         }
     }
 
-    /// The ladder rank, 0 (Normal) … 3 (ParkIdle). Public so the
-    /// `analyze` model checker's abstract ladder can be cross-checked
-    /// against this implementation rank-for-rank.
+    /// The ladder rank, 0 (Normal) … 3 (ParkIdle): the encoding
+    /// [`LadderParams::next_level`] steps over.
     #[must_use]
     pub fn rank(self) -> u8 {
         match self {
@@ -136,16 +140,17 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
+        let ladder = LadderParams::serving_defaults();
         AdmissionConfig {
             max_streams: 256,
             per_stream_queue_chunks: 8,
             global_queue_bytes: 64 * 1024,
             bucket_capacity: 32,
             bucket_refill: 8,
-            reject_enter_pct: 60,
-            degrade_enter_pct: 75,
-            park_enter_pct: 90,
-            exit_margin_pct: 15,
+            reject_enter_pct: ladder.reject_enter_pct,
+            degrade_enter_pct: ladder.degrade_enter_pct,
+            park_enter_pct: ladder.park_enter_pct,
+            exit_margin_pct: ladder.exit_margin_pct,
             pump_budget_chunks: 64,
             idle_grace_ticks: 2,
         }
@@ -153,40 +158,25 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    fn enter_pct(&self, level: OverloadLevel) -> u32 {
-        match level {
-            OverloadLevel::Normal => 0,
-            OverloadLevel::RejectNew => self.reject_enter_pct,
-            OverloadLevel::DegradeLowPriority => self.degrade_enter_pct,
-            OverloadLevel::ParkIdle => self.park_enter_pct,
+    /// The ladder thresholds, as the shared policy reads them.
+    fn ladder(&self) -> LadderParams {
+        LadderParams {
+            reject_enter_pct: self.reject_enter_pct,
+            degrade_enter_pct: self.degrade_enter_pct,
+            park_enter_pct: self.park_enter_pct,
+            exit_margin_pct: self.exit_margin_pct,
         }
     }
 
     /// The ladder step for this tick: escalate immediately to the
     /// highest level whose threshold `occupancy_pct` meets, de-escalate
-    /// one level at a time and only past the hysteresis margin.
+    /// one level at a time and only past the hysteresis margin. The
+    /// arithmetic is [`LadderParams::next_level`], the same function
+    /// the `analyze` model checker explores.
     #[must_use]
+    #[inline]
     pub fn next_level(&self, current: OverloadLevel, occupancy_pct: u32) -> OverloadLevel {
-        let mut target = OverloadLevel::Normal;
-        for level in [
-            OverloadLevel::RejectNew,
-            OverloadLevel::DegradeLowPriority,
-            OverloadLevel::ParkIdle,
-        ] {
-            if occupancy_pct >= self.enter_pct(level) {
-                target = level;
-            }
-        }
-        if target >= current {
-            return target;
-        }
-        // De-escalation with hysteresis, one rung per tick.
-        let enter = self.enter_pct(current);
-        if occupancy_pct + self.exit_margin_pct < enter {
-            OverloadLevel::from_rank(current.rank() - 1)
-        } else {
-            current
-        }
+        OverloadLevel::from_rank(self.ladder().next_level(current.rank(), occupancy_pct))
     }
 }
 
