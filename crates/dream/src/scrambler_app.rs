@@ -143,8 +143,7 @@ impl DreamScramblerApp {
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
             self.serial.set_state(self.derby.anti_transform_state(&x_t));
-            let y = self.serial.transduce(&data.slice(full * self.m, tail_len));
-            out = out.concat(&y);
+            out.append(&self.serial.transduce(&data.slice(full * self.m, tail_len)));
         }
 
         report.picoga = self.sim.counters();

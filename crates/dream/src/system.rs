@@ -458,12 +458,15 @@ impl DreamSystem {
         let p = self
             .scramblers
             .get(name)
-            .cloned()
             .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
         check_seed(name, seed, p.derby.dim())?;
+        let m = p.m;
+        let x_t0 = p
+            .derby
+            .transform_state(&BitVec::from_u64(seed, p.derby.dim()));
         let start = self.sim.counters();
         let mut report = RunReport {
             bits: data.len() as u64,
@@ -471,21 +474,19 @@ impl DreamSystem {
             ..Default::default()
         };
 
-        let seed_state = BitVec::from_u64(seed, p.derby.dim());
-        let x_t0 = p.derby.transform_state(&seed_state);
-        let full = data.len() / p.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| data.slice(c * p.m, p.m)).collect();
+        let full = data.len() / m;
+        let blocks: Vec<BitVec> = (0..full).map(|c| data.slice(c * m, m)).collect();
 
         self.ensure_scrambler_resident(name)?;
         let (mut out, x_t) = self.sim.run_scrambler_stream(&x_t0, blocks.iter())?;
 
-        let tail_len = data.len() - full * p.m;
+        let tail_len = data.len() - full * m;
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
+            let derby = &self.scramblers[name].derby;
             let tail_sys = self.tails.get_mut(name).expect("registered");
-            tail_sys.set_state(p.derby.anti_transform_state(&x_t));
-            let y = tail_sys.transduce(&data.slice(full * p.m, tail_len));
-            out = out.concat(&y);
+            tail_sys.set_state(derby.anti_transform_state(&x_t));
+            out.append(&tail_sys.transduce(&data.slice(full * m, tail_len)));
         }
 
         let end = self.sim.counters();
@@ -622,11 +623,14 @@ impl DreamSystem {
         let p = self
             .personalities
             .get(name)
-            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?
-            .clone();
+            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
+        let (spec, m) = (p.spec, p.m);
+        let init = BitVec::from_u64(spec.init & spec.mask(), spec.width);
+        // Derby personalities stream in the transformed domain.
+        let x_t0 = p.derby.as_ref().map(|d| d.transform_state(&init));
         let start = self.sim.counters();
         let mut report = RunReport {
             bits: (data.len() * 8) as u64,
@@ -634,15 +638,13 @@ impl DreamSystem {
             ..Default::default()
         };
 
-        let bits = message_bits(&p.spec, data);
-        let init = BitVec::from_u64(p.spec.init & p.spec.mask(), p.spec.width);
-        let full = bits.len() / p.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| bits.slice(c * p.m, p.m)).collect();
+        let bits = message_bits(&spec, data);
+        let full = bits.len() / m;
+        let blocks: Vec<BitVec> = (0..full).map(|c| bits.slice(c * m, m)).collect();
 
         self.ensure_resident(name, 0)?;
-        let mut x = match &p.derby {
-            Some(derby) => {
-                let x_t0 = derby.transform_state(&init);
+        let mut x = match x_t0 {
+            Some(x_t0) => {
                 let x_t = self.sim.run_crc_stream(&x_t0, blocks.iter())?;
                 self.ensure_resident(name, 1)?;
                 self.sim.run_linear(&x_t)?
@@ -650,12 +652,12 @@ impl DreamSystem {
             None => self.sim.run_crc_stream_dense(&init, blocks.iter())?,
         };
 
-        let tail_len = bits.len() - full * p.m;
+        let tail_len = bits.len() - full * m;
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
             let tail_sys = self.tails.get_mut(name).expect("registered");
             tail_sys.set_state(x);
-            tail_sys.absorb(&bits.slice(full * p.m, tail_len));
+            tail_sys.absorb(&bits.slice(full * m, tail_len));
             x = tail_sys.state().clone();
         }
 
@@ -667,10 +669,10 @@ impl DreamSystem {
         };
 
         let mut out = x.to_u64();
-        if p.spec.refout {
-            out = reflect(out, p.spec.width);
+        if spec.refout {
+            out = reflect(out, spec.width);
         }
-        Ok(((out ^ p.spec.xorout) & p.spec.mask(), report))
+        Ok(((out ^ spec.xorout) & spec.mask(), report))
     }
 }
 

@@ -65,6 +65,16 @@ impl BitVec {
         v
     }
 
+    /// Creates a `len`-bit vector from raw LSB-first words: `words` is
+    /// truncated or zero-padded to `ceil(len/64)` words and the bits
+    /// beyond `len` are cleared.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(words_for(len), 0);
+        let mut v = BitVec { len, words };
+        v.mask_tail();
+        v
+    }
+
     /// Creates a vector from an iterator of bits, LSB (index 0) first.
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let bits: Vec<bool> = bits.into_iter().collect();
@@ -234,14 +244,28 @@ impl BitVec {
 
     /// Concatenates `self` (low bits) with `other` (high bits).
     pub fn concat(&self, other: &BitVec) -> Self {
-        let mut out = BitVec::zeros(self.len + other.len);
-        for i in self.iter_ones() {
-            out.set(i, true);
-        }
-        for i in other.iter_ones() {
-            out.set(self.len + i, true);
-        }
+        let mut out = BitVec {
+            len: self.len,
+            words: Vec::with_capacity(words_for(self.len + other.len)),
+        };
+        out.words.extend_from_slice(&self.words);
+        out.append(other);
         out
+    }
+
+    /// Appends `other` above the current top bit, in place.
+    pub fn append(&mut self, other: &BitVec) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                *self.words.last_mut().expect("len % 64 != 0") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(words_for(self.len));
     }
 
     /// Returns bits `[start, start + count)` as a new vector.
@@ -251,25 +275,22 @@ impl BitVec {
     /// Panics if the range exceeds the vector length.
     pub fn slice(&self, start: usize, count: usize) -> Self {
         assert!(start + count <= self.len, "slice out of range");
-        let mut out = BitVec::zeros(count);
-        for i in 0..count {
-            if self.get(start + i) {
-                out.set(i, true);
-            }
-        }
-        out
+        let (first, shift) = (start / 64, start % 64);
+        let words = (first..first + words_for(count))
+            .map(|i| {
+                let lo = self.words[i] >> shift;
+                match self.words.get(i + 1) {
+                    Some(&hi) if shift != 0 => lo | (hi << (64 - shift)),
+                    _ => lo,
+                }
+            })
+            .collect();
+        BitVec::from_words(words, count)
     }
 
     /// Returns a copy resized to `new_len` bits (truncating or zero-padding).
     pub fn resized(&self, new_len: usize) -> Self {
-        let mut out = BitVec::zeros(new_len);
-        let n = self.len.min(new_len);
-        for i in 0..n {
-            if self.get(i) {
-                out.set(i, true);
-            }
-        }
-        out
+        BitVec::from_words(self.words.clone(), new_len)
     }
 
     /// Index of the highest set bit, or `None` if the vector is zero.
@@ -293,24 +314,22 @@ impl BitVec {
     /// serialize a `BitVec` must store it alongside (see
     /// [`BitVec::from_le_bytes`]).
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len.div_ceil(8)];
-        for i in self.iter_ones() {
-            out[i / 8] |= 1 << (i % 8);
-        }
-        out
+        self.words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .take(self.len.div_ceil(8))
+            .collect()
     }
 
     /// Rebuilds a `len`-bit vector from its [`BitVec::to_le_bytes`]
     /// encoding. Bytes beyond `ceil(len/8)` and bits beyond `len` are
     /// ignored, so a truncated-then-padded buffer round-trips exactly.
     pub fn from_le_bytes(bytes: &[u8], len: usize) -> Self {
-        let mut out = BitVec::zeros(len);
-        for i in 0..len {
-            if bytes.get(i / 8).is_some_and(|b| (b >> (i % 8)) & 1 == 1) {
-                out.set(i, true);
-            }
+        let mut words = vec![0u64; words_for(len)];
+        for (i, &b) in bytes.iter().take(len.div_ceil(8)).enumerate() {
+            words[i / 8] |= u64::from(b) << (8 * (i % 8));
         }
-        out
+        BitVec::from_words(words, len)
     }
 
     fn mask_tail(&mut self) {

@@ -66,20 +66,13 @@ impl RawCrcCore for SerialCore {
 /// honouring the spec's input reflection (LSB-first per byte when
 /// `refin`, MSB-first otherwise).
 pub fn message_bits(spec: &CrcSpec, data: &[u8]) -> BitVec {
-    let mut bits = BitVec::zeros(data.len() * 8);
-    for (i, &byte) in data.iter().enumerate() {
-        for k in 0..8 {
-            let bit = if spec.refin {
-                (byte >> k) & 1 == 1
-            } else {
-                (byte >> (7 - k)) & 1 == 1
-            };
-            if bit {
-                bits.set(i * 8 + k, true);
-            }
-        }
+    let len = data.len() * 8;
+    if spec.refin {
+        BitVec::from_le_bytes(data, len)
+    } else {
+        let msb_first: Vec<u8> = data.iter().map(|b| b.reverse_bits()).collect();
+        BitVec::from_le_bytes(&msb_first, len)
     }
-    bits
 }
 
 /// A complete CRC algorithm: a [`CrcSpec`] driving any [`RawCrcCore`].
@@ -185,6 +178,28 @@ mod tests {
         let mpeg = CrcSpec::crc32_mpeg2(); // refin = false
         let bits = message_bits(mpeg, &[0b1000_0001]);
         assert!(bits.get(0) && bits.get(7) && !bits.get(6));
+    }
+
+    #[test]
+    fn message_bits_match_the_bitwise_feed_order() {
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 37 + 11) as u8).collect();
+        for spec in [CrcSpec::crc32_ethernet(), CrcSpec::crc32_mpeg2()] {
+            for len in [0, 1, 7, 8, 9, 67] {
+                let mut expect = BitVec::zeros(len * 8);
+                for (i, &byte) in data[..len].iter().enumerate() {
+                    for k in 0..8 {
+                        let shift = if spec.refin { k } else { 7 - k };
+                        expect.set(i * 8 + k, (byte >> shift) & 1 == 1);
+                    }
+                }
+                assert_eq!(
+                    message_bits(spec, &data[..len]),
+                    expect,
+                    "refin={} len={len}",
+                    spec.refin
+                );
+            }
+        }
     }
 
     #[test]

@@ -267,19 +267,25 @@ impl StateSpaceLfsr {
         if u {
             y.xor_assign(&self.d);
         }
+        self.advance(u);
+        y
+    }
+
+    /// The state update alone: `x(n+1) = A·x(n) + b·u(n)`.
+    fn advance(&mut self, u: bool) {
         let mut next = self.a.mul_vec(&self.state);
         if u {
             next.xor_assign(&self.b);
         }
         self.state = next;
-        y
     }
 
     /// Steps through `bits` in index order (bit 0 of `bits` first),
-    /// discarding outputs — the CRC usage pattern.
+    /// discarding outputs — the CRC usage pattern. Only the state
+    /// update is computed.
     pub fn absorb(&mut self, bits: &BitVec) {
-        for i in 0..bits.len() {
-            self.step(bits.get(i));
+        for u in bits.iter() {
+            self.advance(u);
         }
     }
 

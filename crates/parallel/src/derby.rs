@@ -241,12 +241,23 @@ impl DerbyTransform {
     ///
     /// Panics if `block.len() != M`.
     pub fn step_block(&self, x_t: &BitVec, block: &BitVec) -> (BitVec, BitVec) {
-        assert_eq!(block.len(), self.m, "block must be exactly M bits");
-        let mut next = self.a_mt.mul_vec(x_t);
-        next.xor_assign(&self.b_mt.mul_vec(block));
+        let next = self.step_block_state_only(x_t, block);
         let mut y = self.c_stack_t.mul_vec(x_t);
         y.xor_assign(&self.d_stack.mul_vec(block));
         (next, y)
+    }
+
+    /// The state half of [`DerbyTransform::step_block`] alone:
+    /// `A_Mt·x_t ⊕ B_Mt·u`, without the output products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != M`.
+    pub fn step_block_state_only(&self, x_t: &BitVec, block: &BitVec) -> BitVec {
+        assert_eq!(block.len(), self.m, "block must be exactly M bits");
+        let mut next = self.a_mt.mul_vec(x_t);
+        next.xor_assign(&self.b_mt.mul_vec(block));
+        next
     }
 }
 
@@ -288,9 +299,9 @@ impl RawCrcCore for DerbyCore {
         let full = bits.len() / m;
         let mut x_t = self.derby.transform_state(state);
         for c in 0..full {
-            let block = bits.slice(c * m, m);
-            let (next, _) = self.derby.step_block(&x_t, &block);
-            x_t = next;
+            x_t = self
+                .derby
+                .step_block_state_only(&x_t, &bits.slice(c * m, m));
         }
         let x = self.derby.anti_transform_state(&x_t);
         let tail_len = bits.len() - full * m;

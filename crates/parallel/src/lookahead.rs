@@ -235,7 +235,7 @@ impl BlockSystem {
             let block = bits.slice(c * self.m, self.m);
             let (next, y) = self.step_block(&state, &block);
             state = next;
-            outputs = outputs.concat(&y);
+            outputs.append(&y);
         }
         let tail = bits.slice(full * self.m, bits.len() - full * self.m);
         tail_sys.set_state(state);

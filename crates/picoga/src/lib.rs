@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 mod arch;
+mod datapath;
 mod fault;
 mod op;
 mod sim;

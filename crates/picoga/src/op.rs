@@ -164,25 +164,25 @@ pub struct CompanionFeedback {
 
 impl CompanionFeedback {
     /// Applies `x′ = A_Mt·x ⊕ p` where `A_Mt` is the companion matrix with
-    /// last column `g_col`.
+    /// last column `g_col`: a one-bit shift up the state, XOR `p`, and XOR
+    /// `g_col` when the bit shifted out was set.
     pub fn apply(&self, x: &BitVec, p: &BitVec) -> BitVec {
         debug_assert_eq!(x.len(), self.k);
         debug_assert_eq!(p.len(), self.k);
-        let mut next = BitVec::zeros(self.k);
-        let top = x.get(self.k - 1);
-        for i in 0..self.k {
-            let mut v = p.get(i);
-            if i > 0 {
-                v ^= x.get(i - 1);
-            }
-            if top && self.g_col.get(i) {
-                v = !v;
-            }
-            if v {
-                next.set(i, true);
-            }
-        }
-        next
+        let fold = if x.get(self.k - 1) { !0 } else { 0 };
+        let mut carry = 0;
+        let words = x
+            .words()
+            .iter()
+            .zip(p.words())
+            .zip(self.g_col.words())
+            .map(|((&w, &pw), &gw)| {
+                let shifted = (w << 1) | carry;
+                carry = w >> 63;
+                shifted ^ pw ^ (gw & fold)
+            })
+            .collect();
+        BitVec::from_words(words, self.k)
     }
 }
 
@@ -816,6 +816,30 @@ mod tests {
         x.set(31, false);
         let expect = &a.mul_vec(&x) ^ &p;
         assert_eq!(fb.apply(&x, &p), expect);
+    }
+
+    #[test]
+    fn companion_feedback_carries_across_state_words() {
+        // k = 64 and k = 130: the shift must carry bit 63 into the next
+        // word and drop the bit shifted out of the top.
+        for (k, taps) in [
+            (64usize, 0x1B_u128),
+            (130, 0x8000_0000_0000_0001_0000_0000_0000_0003),
+        ] {
+            let mut g = Gf2Poly::from_u128(taps);
+            g.set_coeff(k, true);
+            let a = BitMat::companion(&g);
+            let fb = CompanionFeedback {
+                k,
+                g_col: a.column(k - 1),
+                cells: 1,
+            };
+            let p = BitVec::from_bits((0..k).map(|i| i % 3 == 0));
+            let dense = BitVec::from_bits((0..k).map(|i| i % 5 != 1));
+            for x in (0..k).map(|i| BitVec::unit(i, k)).chain([dense]) {
+                assert_eq!(fb.apply(&x, &p), &a.mul_vec(&x) ^ &p, "k={k} x={x}");
+            }
+        }
     }
 
     #[test]

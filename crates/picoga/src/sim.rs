@@ -13,12 +13,12 @@
 //!   [`PicogaParams::context_load_cycles`] and is charged only on misses.
 
 use crate::arch::PicogaParams;
+use crate::datapath::Datapath;
 use crate::fault::{ConfigFault, InjectError, LoadCorruption, LoadFault};
-use crate::op::{PgaOperation, Placement};
+use crate::op::PgaOperation;
 use gf2::BitVec;
 use obs::{EventKind, ObsHub};
 use std::fmt;
-use xornet::XorNetwork;
 
 /// Errors from driving the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,60 +119,15 @@ pub struct PicogaSim {
     loads_seen: u64,
 }
 
-/// Evaluates the gates of `net` row-by-row following `placement`, starting
-/// from primary input values, returning all signal values. Functionally the
-/// row order is immaterial (the placement is topological); it is kept
-/// explicit so the structure mirrors the hardware — and so physical
-/// stuck-at cell faults (`stuck`: gate index → forced value, resolved
-/// from physical coordinates by the caller) land on the right gate.
-fn eval_by_rows(
-    net: &XorNetwork,
-    placement: &Placement,
-    inputs: &BitVec,
-    stuck: &[(usize, bool)],
-) -> Vec<bool> {
-    let mut values = vec![false; net.n_signals()];
-    for (i, v) in values.iter_mut().enumerate().take(net.n_inputs()) {
-        *v = inputs.get(i);
-    }
-    for row in placement.rows() {
-        for &gi in row {
-            let g = &net.gates()[gi];
-            let mut v = g.inputs.iter().fold(false, |acc, &s| acc ^ values[s]);
-            if let Some(&(_, forced)) = stuck.iter().find(|&&(sg, _)| sg == gi) {
-                v = forced;
-            }
-            values[net.n_inputs() + gi] = v;
-        }
-    }
-    values
-}
-
-/// Resolves physical stuck-cell coordinates to gate indices under one
-/// placement (cells holding no gate of this operation are harmless).
-fn stuck_gates(stuck: &[(usize, usize, bool)], placement: &Placement) -> Vec<(usize, bool)> {
-    stuck
-        .iter()
-        .filter_map(|&(row, cell, value)| {
-            placement
-                .rows()
-                .get(row)
-                .and_then(|r| r.get(cell))
-                .map(|&gi| (gi, value))
-        })
-        .collect()
-}
-
-fn outputs_from(net: &XorNetwork, values: &[bool]) -> BitVec {
-    let mut out = BitVec::zeros(net.outputs().len());
-    for (i, o) in net.outputs().iter().enumerate() {
-        if let Some(s) = o {
-            if values[*s] {
-                out.set(i, true);
-            }
-        }
-    }
-    out
+/// The operation in the active context. A free function over the
+/// context table so callers can keep borrowing it while they charge
+/// cycles to the registry.
+fn active_op(
+    contexts: &[Option<PgaOperation>],
+    active: Option<usize>,
+) -> Result<&PgaOperation, SimError> {
+    let slot = active.ok_or(SimError::NoActiveContext)?;
+    contexts[slot].as_ref().ok_or(SimError::EmptySlot { slot })
 }
 
 impl PicogaSim {
@@ -429,13 +384,6 @@ impl PicogaSim {
         Ok(())
     }
 
-    fn active_op(&self) -> Result<&PgaOperation, SimError> {
-        let slot = self.active.ok_or(SimError::NoActiveContext)?;
-        self.contexts[slot]
-            .as_ref()
-            .ok_or(SimError::EmptySlot { slot })
-    }
-
     /// Runs one issue of the active **linear** operation, charging its full
     /// latency (used for one-shot networks like the CRC anti-transform).
     ///
@@ -443,7 +391,7 @@ impl PicogaSim {
     ///
     /// Shape/width mismatches per [`SimError`].
     pub fn run_linear(&mut self, inputs: &BitVec) -> Result<BitVec, SimError> {
-        let op = self.active_op()?;
+        let op = active_op(&self.contexts, self.active)?;
         if !op.is_linear() {
             return Err(SimError::WrongOpShape { expected: "linear" });
         }
@@ -455,9 +403,7 @@ impl PicogaSim {
             });
         }
         let stats = op.stats();
-        let stuck = stuck_gates(&self.stuck, op.placement());
-        let values = eval_by_rows(net, op.placement(), inputs, &stuck);
-        let out = outputs_from(net, &values);
+        let out = Datapath::compile(net, op.placement(), &self.stuck).eval(inputs);
         let latency = stats.latency.max(1);
         self.obs.registry.add(self.obs.cycles.compute, latency);
         self.obs.profiler.record_stream(stats.rows, latency, 1);
@@ -475,7 +421,10 @@ impl PicogaSim {
     /// configured linear map iff the two agree on the zero vector and
     /// the full input basis. (Configuration corruption — wire or tap
     /// flips — moves the matrix itself and is the scrub's job; this
-    /// probe catches what the scrub structurally cannot.)
+    /// probe catches what the scrub structurally cannot.) The simulator
+    /// reads those `n + 1` responses straight off the compiled datapath:
+    /// the zero response is its constant vector and the response to
+    /// basis vector `e_j` is its mask column `j` plus that constant.
     ///
     /// Charges one latency per evaluation: self-checking is not free.
     ///
@@ -485,14 +434,11 @@ impl PicogaSim {
     ///
     /// [`SimError::NoActiveContext`] / [`SimError::EmptySlot`].
     pub fn affine_probe(&mut self) -> Result<bool, SimError> {
-        let op = self.active_op()?;
-        let net = op.network().clone();
-        let placement = op.placement().clone();
+        let op = active_op(&self.contexts, self.active)?;
+        let net = op.network();
         let stats = op.stats();
         let latency = stats.latency.max(1);
-        let stuck = stuck_gates(&self.stuck, &placement);
         let n = net.n_inputs();
-        let expected = net.to_matrix();
         self.obs
             .registry
             .add(self.obs.cycles.compute, latency * (n as u64 + 1));
@@ -500,20 +446,10 @@ impl PicogaSim {
             .profiler
             .record_iterative(stats.rows, latency, n as u64 + 1);
 
-        let zero = BitVec::zeros(n);
-        let values = eval_by_rows(&net, &placement, &zero, &stuck);
-        if outputs_from(&net, &values) != BitVec::zeros(net.outputs().len()) {
-            return Ok(false);
-        }
-        for i in 0..n {
-            let mut e = BitVec::zeros(n);
-            e.set(i, true);
-            let values = eval_by_rows(&net, &placement, &e, &stuck);
-            if outputs_from(&net, &values) != expected.column(i) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let dp = Datapath::compile(net, op.placement(), &self.stuck);
+        let expected = net.to_matrix();
+        Ok(dp.consts().is_zero()
+            && (0..expected.rows()).all(|i| dp.mask(i) == expected.row(i).words()))
     }
 
     /// Streams `blocks` through the active **CRC update** operation,
@@ -530,19 +466,18 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
-        let op = self.active_op()?;
+        let op = active_op(&self.contexts, self.active)?;
         if !op.is_crc_update() {
             return Err(SimError::WrongOpShape {
                 expected: "CRC update",
             });
         }
-        let fb = op.feedback().expect("crc update has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
+        let fb = op.feedback().expect("crc update has feedback");
+        let net = op.network();
         let stats = op.stats();
         let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
 
+        let mut dp = None;
         let mut state = x_t.clone();
         let mut n: u64 = 0;
         for block in blocks {
@@ -553,9 +488,8 @@ impl PicogaSim {
                 });
             }
             // Feed-forward wavefront, then the single feedback row.
-            let values = eval_by_rows(&net, &placement, block, &stuck);
-            let p = outputs_from(&net, &values);
-            state = fb.apply(&state, &p);
+            let dp = dp.get_or_insert_with(|| Datapath::compile(net, op.placement(), &self.stuck));
+            state = fb.apply(&state, &dp.eval(block));
             n += 1;
         }
         if n > 0 {
@@ -582,19 +516,18 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
-        let op = self.active_op()?;
+        let op = active_op(&self.contexts, self.active)?;
         let Some(k) = op.dense_update_k() else {
             return Err(SimError::WrongOpShape {
                 expected: "dense CRC update",
             });
         };
-        let net = op.network().clone();
-        let placement = op.placement().clone();
+        let net = op.network();
         let stats = op.stats();
         let latency = stats.latency.max(1);
         let m = net.n_inputs() - k;
-        let stuck = stuck_gates(&self.stuck, &placement);
 
+        let mut dp = None;
         let mut st = state.clone();
         let mut n: u64 = 0;
         for block in blocks {
@@ -604,9 +537,9 @@ impl PicogaSim {
                     expected: m,
                 });
             }
-            let inputs = st.concat(block);
-            let values = eval_by_rows(&net, &placement, &inputs, &stuck);
-            st = outputs_from(&net, &values);
+            let dp = dp.get_or_insert_with(|| Datapath::compile(net, op.placement(), &self.stuck));
+            st.append(block);
+            st = dp.eval(&st);
             self.obs.registry.add(self.obs.cycles.compute, latency);
             n += 1;
         }
@@ -632,19 +565,18 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
-        let op = self.active_op()?;
+        let op = active_op(&self.contexts, self.active)?;
         if !op.is_crc_update() {
             return Err(SimError::WrongOpShape {
                 expected: "CRC update",
             });
         }
-        let fb = op.feedback().expect("crc update has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
+        let fb = op.feedback().expect("crc update has feedback");
+        let net = op.network();
         let stats = op.stats();
         let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
 
+        let mut dp = None;
         let mut n: u64 = 0;
         for (lane, block) in items {
             if lane >= states.len() {
@@ -659,9 +591,8 @@ impl PicogaSim {
                     expected: net.n_inputs(),
                 });
             }
-            let values = eval_by_rows(&net, &placement, block, &stuck);
-            let p = outputs_from(&net, &values);
-            states[lane] = fb.apply(&states[lane], &p);
+            let dp = dp.get_or_insert_with(|| Datapath::compile(net, op.placement(), &self.stuck));
+            states[lane] = fb.apply(&states[lane], &dp.eval(block));
             n += 1;
         }
         if n > 0 {
@@ -688,19 +619,20 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
-        let op = self.active_op()?;
+        let op = active_op(&self.contexts, self.active)?;
         let Some(m) = op.scrambler_m() else {
             return Err(SimError::WrongOpShape {
                 expected: "scrambler",
             });
         };
-        let fb = op.feedback().expect("scrambler has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
+        let fb = op.feedback().expect("scrambler has feedback");
+        let net = op.network();
         let stats = op.stats();
         let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
+        // Autonomous companion update: no data enters the loop.
+        let no_data = BitVec::zeros(fb.k);
 
+        let mut dp = None;
         let mut state = x_t.clone();
         let mut out = BitVec::zeros(0);
         let mut n: u64 = 0;
@@ -711,13 +643,10 @@ impl PicogaSim {
                     expected: m,
                 });
             }
+            let dp = dp.get_or_insert_with(|| Datapath::compile(net, op.placement(), &self.stuck));
             // Output network reads the pre-update state and the block.
-            let inputs = state.concat(block);
-            let values = eval_by_rows(&net, &placement, &inputs, &stuck);
-            out = out.concat(&outputs_from(&net, &values));
-            // Autonomous companion update (no data into the loop).
-            let zero = BitVec::zeros(fb.k);
-            state = fb.apply(&state, &zero);
+            out.append(&dp.eval(&state.concat(block)));
+            state = fb.apply(&state, &no_data);
             n += 1;
         }
         if n > 0 {
@@ -1061,6 +990,49 @@ mod tests {
         assert!(detections > 0, "the sweep was actually exercised");
         sim.clear_stuck_cells();
         assert!(sim.affine_probe().unwrap());
+    }
+
+    #[test]
+    fn affine_probe_flags_a_fault_that_moves_only_the_constant() {
+        let g = Gf2Poly::from_crc_notation(0x1021, 16);
+        let t = BitMat::companion(&g).pow(7);
+        let net = synthesize(&t, SynthOptions::default());
+        let op = PgaOperation::linear("T", net, &params()).unwrap();
+        let net = op.network();
+        // A tapped two-input gate, and its cell.
+        let gate = (0..net.gate_count())
+            .find(|&gi| {
+                net.gates()[gi].inputs.len() == 2
+                    && net.outputs().contains(&Some(net.n_inputs() + gi))
+            })
+            .expect("a tapped two-input gate");
+        let row = op.placement().row_of(gate).unwrap();
+        let cell = op.placement().rows()[row]
+            .iter()
+            .position(|&gi| gi == gate)
+            .unwrap();
+        let mut sim = PicogaSim::new(params());
+        sim.load_context(0, op.clone()).unwrap();
+        sim.switch_to(0).unwrap();
+        // Wire pin 1 onto pin 0's source: the gate computes s ^ s = 0 in
+        // the configuration and in silicon alike, so the probe passes.
+        sim.inject(&ConfigFault::WireFlip {
+            slot: 0,
+            gate,
+            pin: 1,
+            new_signal: net.gates()[gate].inputs[0],
+        })
+        .unwrap();
+        assert!(sim.affine_probe().unwrap());
+        // Sticking that cell at 1 leaves every input mask alone and moves
+        // only the constant term: the zero-vector response must catch it.
+        sim.inject(&ConfigFault::StuckCell {
+            row,
+            cell,
+            value: true,
+        })
+        .unwrap();
+        assert!(!sim.affine_probe().unwrap());
     }
 
     #[test]
