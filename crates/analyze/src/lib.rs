@@ -38,8 +38,8 @@
 //! returns either a [`ConfigAnalysis`] or a typed [`AnalyzeError`]
 //! whose report carries `AZ`-coded findings. The build flow
 //! (`picolfsr::flow`) runs it under `FlowOptions::analyze`, and the
-//! `fabric_analyze` bench binary sweeps it across the personality
-//! catalogue.
+//! bench `report` binary sweeps it across the personality catalogue
+//! into `BENCH_analyze.json`.
 
 pub mod ir;
 pub mod linearity;

@@ -5,13 +5,15 @@
 //! optional gate [`Rule`] enforced against the committed baseline, and
 //! an optional [`Trend`] (label, history slug, better direction) shown
 //! in the cross-PR table. The `gate` binary is a thin driver over
-//! [`check`], [`trend_table`], [`trend_line`] and [`history_table`].
+//! [`check`], [`trend_table`], [`trend_line`] and [`history_table`];
+//! the `report` binary runs [`check_schema`] on each report before it
+//! writes it.
 //!
 //! Tolerances are integer percentages of the baseline, applied with
 //! integer arithmetic; every tolerance is a constant of its row.
 
-use obs::{json_objects, json_section, json_str};
-use std::collections::BTreeMap;
+use crate::json::{json_objects, json_section, json_str, json_u64, Obj};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use Direction::{Higher, Lower, Neutral};
 use Path::{At, Each, Entries, Max, Sum};
@@ -371,15 +373,18 @@ impl Rule {
 /// Report text by stem.
 pub type Reports = BTreeMap<&'static str, String>;
 
-/// Reads `{dir}/{stem}.json` for every stem in [`TABLE`]; missing files
-/// are left out.
+/// Reads `{dir}/{stem}.json` once for every stem in [`TABLE`]; missing
+/// files are left out.
 #[must_use]
 pub fn load_reports(dir: &str) -> Reports {
-    TABLE
-        .iter()
-        .filter_map(|r| {
-            let doc = std::fs::read_to_string(format!("{dir}/{}.json", r.stem)).ok()?;
-            Some((r.stem, doc))
+    let stems: BTreeSet<&'static str> = TABLE.iter().map(|r| r.stem).collect();
+    stems
+        .into_iter()
+        .filter_map(|stem| {
+            Some((
+                stem,
+                std::fs::read_to_string(format!("{dir}/{stem}.json")).ok()?,
+            ))
         })
         .collect()
 }
@@ -394,10 +399,10 @@ fn entries<'a>(doc: &'a str, array: &Array) -> Result<BTreeMap<String, &'a str>,
     json_objects(section)
         .into_iter()
         .map(|obj| {
-            let key: Option<Vec<&str>> = array
+            let key: Option<Vec<String>> = array
                 .key
                 .iter()
-                .map(|k| json_str(obj, k).or_else(|| json_section(obj, k)))
+                .map(|k| json_str(obj, k).or_else(|| json_section(obj, k).map(str::to_owned)))
                 .collect();
             let key = key.ok_or(format!("malformed {} entry: {obj}", array.name))?;
             Ok((key.join(" "), obj))
@@ -500,6 +505,31 @@ pub fn check(base: &Reports, cur: &Reports) -> Result<Vec<Regression>, String> {
     Ok(out)
 }
 
+/// Checks that `doc` carries a boolean `passed` verdict (top-level, or
+/// per storm section or model) and every value [`TABLE`] reads from
+/// report `stem`, each of the type its row needs: the document gated
+/// against itself must not error, and every trend value must resolve.
+///
+/// # Errors
+///
+/// The first path that is missing or malformed, named as in the gate's
+/// messages.
+pub fn check_schema(stem: &str, doc: &str) -> Result<(), String> {
+    if !doc.contains("\"passed\":true") && !doc.contains("\"passed\":false") {
+        return Err(format!("{stem}: no boolean \"passed\""));
+    }
+    for row in TABLE.iter().filter(|r| r.stem == stem) {
+        let label = || format!("{stem} {}", row.path_label());
+        if let Some(rule) = row.rule {
+            check_row(row, rule, doc, doc).map_err(|e| format!("{}: {e}", label()))?;
+        }
+        if row.trend.is_some() && trend_value(row, doc).is_none() {
+            return Err(format!("{}: no value", label()));
+        }
+    }
+    Ok(())
+}
+
 fn trended() -> impl Iterator<Item = (&'static Row, Trend)> {
     TABLE.iter().filter_map(|r| Some((r, r.trend?)))
 }
@@ -541,16 +571,15 @@ pub fn trend_table(base: &Reports, cur: &Reports) -> String {
 /// metrics it holds.
 #[must_use]
 pub fn trend_line(label: &str, cur: &Reports) -> (String, usize) {
-    let mut line = format!("{{\"label\":\"{label}\"");
+    let mut line = Obj::new().field("label", label);
     let mut captured = 0;
     for (row, t) in trended() {
         if let Some(v) = cur.get(row.stem).and_then(|d| trend_value(row, d)) {
-            let _ = write!(line, ",\"{}\":{v}", t.slug);
+            line = line.field(t.slug, v);
             captured += 1;
         }
     }
-    line.push_str("}\n");
-    (line, captured)
+    (line.finish(), captured)
 }
 
 /// The cross-PR table from `trend.jsonl` text: one row per trend
@@ -564,7 +593,8 @@ pub fn history_table(body: &str) -> Option<String> {
         .filter(|s| !s.is_empty())?;
     let mut out = format!("| {:<28} |", "metric");
     for l in shown {
-        let _ = write!(out, " {:>12} |", json_str(l, "label").unwrap_or("?"));
+        let label = json_str(l, "label").unwrap_or_else(|| "?".to_string());
+        let _ = write!(out, " {label:>12} |");
     }
     let _ = write!(out, "\n|{:-<30}|", "");
     out.push_str(&format!("{:-<14}|", "").repeat(shown.len()));
@@ -572,7 +602,7 @@ pub fn history_table(body: &str) -> Option<String> {
     for (_, t) in trended() {
         let _ = write!(out, "| {:<28} |", t.label);
         for l in shown {
-            let v = obs::json_u64(l, t.slug).map_or_else(|| "-".to_string(), |v| v.to_string());
+            let v = json_u64(l, t.slug).map_or_else(|| "-".to_string(), |v| v.to_string());
             let _ = write!(out, " {v:>12} |");
         }
         out.push('\n');

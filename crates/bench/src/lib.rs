@@ -3,13 +3,16 @@
 //!
 //! Each `table1`/`fig4`…`fig8`/`mapping_report` function returns the
 //! rendered rows as a string; the binaries in `src/bin/` and the
-//! `experiments` bench target print them. All workloads are seeded and
-//! deterministic.
+//! `experiments` bench target print them. The `report` binary runs every
+//! seeded campaign once and writes the `BENCH_*.json` reports through
+//! [`json`]; the `gate` binary judges them against the baselines with the
+//! table in [`gate`]. All workloads are seeded and deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;
+pub mod json;
 
 use dream::{ControlModel, DreamCrcApp, DreamScramblerApp, EnergyModel, RunReport};
 use dream_lfsr::{build_crc_app, build_scrambler_app, sweep_m, FlowOptions};
@@ -21,58 +24,37 @@ use picoga::PicogaParams;
 use riscsim::CrcKernel;
 use std::fmt::Write as _;
 
-/// Parses a report binary's `[--smoke] [--seed N] [--out PATH]`
-/// command line (`args` without the program name) into `(smoke, seed,
-/// out)`; flags not given stay `false`/`None`.
+/// The campaign seed when `--seed` is not given.
+pub const DEFAULT_SEED: u64 = 2008;
+
+/// Parses the `report` binary's `[--smoke] [--seed N]` command line
+/// (`args` without the program name) into `(smoke, seed)`; the seed
+/// defaults to [`DEFAULT_SEED`].
 ///
 /// # Errors
 ///
 /// The message to print before exiting with status 2: an unknown
-/// argument (with `bin`'s usage line), a non-integer seed, or `--out`
-/// without a path.
-pub fn parse_report_args(
-    bin: &str,
-    args: impl IntoIterator<Item = String>,
-) -> Result<(bool, Option<u64>, Option<String>), String> {
-    let (mut smoke, mut seed, mut out) = (false, None, None);
+/// argument (with the usage line) or a non-integer seed.
+pub fn parse_report_args(args: impl IntoIterator<Item = String>) -> Result<(bool, u64), String> {
+    let (mut smoke, mut seed) = (false, DEFAULT_SEED);
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--seed" => {
                 let v = args.next().unwrap_or_default();
-                let n = v
+                seed = v
                     .parse()
                     .map_err(|_| format!("--seed expects an unsigned integer, got {v:?}"))?;
-                seed = Some(n);
             }
-            "--out" => out = Some(args.next().ok_or("--out expects a path")?),
             other => {
                 return Err(format!(
-                    "unknown argument {other:?}; usage: {bin} [--smoke] [--seed N] [--out PATH]"
+                    "unknown argument {other:?}; usage: report [--smoke] [--seed N]"
                 ))
             }
         }
     }
-    Ok((smoke, seed, out))
-}
-
-/// The process's report command line (see [`parse_report_args`]) with
-/// the report defaults filled in: seed 2008 and `default_out`. A bad
-/// argument prints its message to stderr and exits with status 2.
-#[must_use]
-pub fn report_args(bin: &str, default_out: &str) -> (bool, u64, String) {
-    match parse_report_args(bin, std::env::args().skip(1)) {
-        Ok((smoke, seed, out)) => (
-            smoke,
-            seed.unwrap_or(2008),
-            out.unwrap_or_else(|| default_out.to_string()),
-        ),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+    Ok((smoke, seed))
 }
 
 /// The DREAM fabric clock (Hz).
@@ -488,35 +470,27 @@ pub fn lint_report() -> (String, LintSummary) {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<(bool, Option<u64>, Option<String>), String> {
-        parse_report_args("crash_storm", args.iter().map(|a| (*a).to_string()))
+    fn parse(args: &[&str]) -> Result<(bool, u64), String> {
+        parse_report_args(args.iter().map(|a| (*a).to_string()))
     }
 
     #[test]
     fn report_args_accept_the_ci_forms() {
-        assert_eq!(parse(&[]), Ok((false, None, None)));
-        assert_eq!(
-            parse(&["--smoke", "--seed", "2008"]),
-            Ok((true, Some(2008), None))
-        );
-        assert_eq!(
-            parse(&["--smoke", "--seed", "2008", "--out", "BENCH_fault.json"]),
-            Ok((true, Some(2008), Some("BENCH_fault.json".to_string())))
-        );
-        assert_eq!(
-            parse(&["--out", "BENCH_lint.json"]),
-            Ok((false, None, Some("BENCH_lint.json".to_string())))
-        );
+        assert_eq!(parse(&[]), Ok((false, 2008)));
+        assert_eq!(parse(&["--smoke"]), Ok((true, 2008)));
+        assert_eq!(parse(&["--smoke", "--seed", "7"]), Ok((true, 7)));
+        assert_eq!(parse(&["--seed", "7", "--smoke"]), Ok((true, 7)));
     }
 
     #[test]
     fn report_args_reject_with_the_usage_messages() {
         assert_eq!(
             parse(&["--smoke", "--fast"]),
-            Err(
-                "unknown argument \"--fast\"; usage: crash_storm [--smoke] [--seed N] [--out PATH]"
-                    .to_string()
-            )
+            Err("unknown argument \"--fast\"; usage: report [--smoke] [--seed N]".to_string())
+        );
+        assert_eq!(
+            parse(&["--out", "BENCH_fault.json"]),
+            Err("unknown argument \"--out\"; usage: report [--smoke] [--seed N]".to_string())
         );
         assert_eq!(
             parse(&["--seed", "-3"]),
@@ -525,10 +499,6 @@ mod tests {
         assert_eq!(
             parse(&["--seed"]),
             Err("--seed expects an unsigned integer, got \"\"".to_string())
-        );
-        assert_eq!(
-            parse(&["--smoke", "--out"]),
-            Err("--out expects a path".to_string())
         );
     }
 

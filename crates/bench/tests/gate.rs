@@ -167,6 +167,56 @@ fn missing_or_malformed_reports_are_errors_not_regressions() {
 }
 
 #[test]
+fn schema_check_accepts_every_committed_baseline() {
+    for (stem, doc) in &baselines() {
+        assert_eq!(gate::check_schema(stem, doc), Ok(()), "{stem}");
+    }
+}
+
+#[test]
+fn schema_check_names_a_missing_gated_key() {
+    let mut reports = baselines();
+    perturb(&mut reports, "BENCH_chaos", "", "\"mismatches\":0,", "");
+    let err = gate::check_schema("BENCH_chaos", &reports["BENCH_chaos"]).unwrap_err();
+    assert!(
+        err.contains("BENCH_chaos mismatches: missing \"mismatches\""),
+        "{err}"
+    );
+    // A trend-only path is checked too: the cluster's typed losses.
+    perturb(
+        &mut reports,
+        "BENCH_cluster",
+        "",
+        "\"lost_streams\"",
+        "\"lost\"",
+    );
+    let err = gate::check_schema("BENCH_cluster", &reports["BENCH_cluster"]).unwrap_err();
+    assert!(err.contains("lost_streams"), "{err}");
+    // Every report carries its own verdict as a boolean.
+    perturb(
+        &mut reports,
+        "BENCH_scope",
+        "",
+        "\"passed\":true",
+        "\"passed\":1",
+    );
+    let err = gate::check_schema("BENCH_scope", &reports["BENCH_scope"]).unwrap_err();
+    assert!(err.contains("BENCH_scope: no boolean \"passed\""), "{err}");
+}
+
+#[test]
+fn report_binary_exits_2_on_a_bad_argument() {
+    for args in [&["--out", "BENCH_fault.json"][..], &["--seed", "x"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn trend_directions_agree_with_rules() {
     for row in TABLE {
         let (Some(rule), Some(t)) = (row.rule, row.trend) else {

@@ -190,8 +190,8 @@ pub struct CrashStormReport {
     /// cut short by a crash are closed as `"crashed"` before adoption).
     pub spans: SpanAudit,
     /// Accumulated span tables of every epoch (crashed epochs closed
-    /// out, then adopted), for trace-query consumers like
-    /// `cluster_report`.
+    /// out, then adopted), for trace-query consumers like the
+    /// `BENCH_scope.json` SLO report.
     pub tracer: obs::Tracer,
 }
 

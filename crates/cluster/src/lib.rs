@@ -19,7 +19,7 @@
 //!   **shard drain**, and checkpoint-replay **whole-shard failover**
 //!   with typed (never silent) stream loss.
 //! * [`storm`] — the seeded cluster-wide stress harness behind the
-//!   `cluster_storm` binary: multi-shard traffic with random live
+//!   bench `report` binary's `BENCH_cluster.json`: multi-shard traffic with random live
 //!   migrations, a mid-run forced kill and a planned drain, every
 //!   digest checked against a software oracle. Its client-traffic
 //!   engine also drives the chaos and crash campaigns.
@@ -34,12 +34,12 @@
 //!   coldest token-fenced migrations on a fixed cadence.
 //! * [`upgrade`] — rolling personality upgrades: drain → rehost →
 //!   undrain, one shard at a time, under live traffic.
-//! * [`chaos`] — the deterministic chaos harness behind the
-//!   `chaos_storm` binary: seeded slowdowns, corrupted/truncated
+//! * [`chaos`] — the deterministic chaos harness behind
+//!   `BENCH_chaos.json` (bench `report` binary): seeded slowdowns, corrupted/truncated
 //!   transfers, byzantine health probes, fault flaps, admission
 //!   storms and typed storage faults against the self-healing control
 //!   loop (DESIGN.md §12).
-//! * [`crash`] — the crash storm behind the `crash_storm` binary:
+//! * [`crash`] — the crash storm behind `BENCH_crash.json`:
 //!   the control plane journals every decision to a write-ahead log
 //!   ([`wal`]), seeded whole-cluster power losses drop everything but
 //!   the (hostile) disk, and recovery replays the journal back into a

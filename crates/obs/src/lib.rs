@@ -24,7 +24,6 @@
 
 mod hist;
 mod hub;
-mod json;
 mod profile;
 mod query;
 mod registry;
@@ -34,7 +33,6 @@ mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use hub::{CycleIds, ObsHub};
-pub use json::{json_objects, json_section, json_str, json_u64};
 pub use profile::{FabricProfiler, LaneUsage};
 pub use query::{SpanSet, TraceQuery};
 pub use registry::{
@@ -45,8 +43,9 @@ pub use span::{SpanCtx, SpanId, SpanRecord};
 pub use trace::{EventKind, TraceEvent, Tracer};
 
 /// Minimal JSON string escaping (quotes, backslash, control chars) for the
-/// hand-rolled exporters. Metric and lane names are ASCII identifiers in
-/// practice; this keeps the output well-formed even if they are not.
+/// JSON-lines exporters here and the bench report writer. Metric and lane
+/// names are ASCII identifiers in practice; this keeps the output
+/// well-formed even if they are not.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

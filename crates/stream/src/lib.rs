@@ -34,7 +34,7 @@
 //!   the batch re-runs wherever [`resilience::MigrationAdvice`] says —
 //!   which is what keeps delivered digests exact under fault injection.
 //! * [`storm`] — the seeded, deterministic stress harness behind the
-//!   `stream_storm` binary: interleaved multi-client traffic, fault
+//!   bench `report` binary's `BENCH_storm.json`: interleaved multi-client traffic, fault
 //!   injection and a forced overload window, with every completed
 //!   stream checked against a software oracle.
 

@@ -20,7 +20,7 @@
 //!
 //! `cluster::Cluster` journals its control-plane transitions through
 //! this crate and rebuilds itself from a replay after a crash; the
-//! `crash_storm` bench harness kills and recovers whole clusters under
+//! crash campaign of the bench `report` binary kills and recovers whole clusters under
 //! seeded storage faults and gates the result.
 
 pub mod hasher;

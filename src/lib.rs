@@ -26,32 +26,32 @@
 //!   recovery ladder (reload → re-synthesis → software fallback);
 //! * [`stream`] — fault-tolerant multi-stream serving: sessions with
 //!   checkpoint/restore, token-bucket admission, the overload shedding
-//!   ladder, and the seeded `stream_storm` stress harness;
+//!   ladder, and the seeded stream-storm stress harness;
 //! * [`obs`] — the unified observability spine: deterministic metrics
 //!   registry, cycle-stamped event tracer, and per-row fabric profiler
-//!   shared by every layer above (exported by the `obs_report` bench
+//!   shared by every layer above (exported by the `report` bench
 //!   binary as `BENCH_obs.json`);
 //! * [`analyze`] — whole-configuration static analysis: the GF(2)
 //!   linearity/affineness prover (certifying the runtime basis probe's
 //!   soundness), the static timing/resource analyzer cross-checked
 //!   against the fabric profiler, and the bounded model checker for
 //!   the serving/recovery/cluster state machines (exported by the
-//!   `fabric_analyze` bench binary as `BENCH_analyze.json`);
+//!   `report` bench binary as `BENCH_analyze.json`);
 //! * [`cluster`] — sharded multi-fabric serving: a control plane over
 //!   N independent shard stacks with rendezvous placement, a periodic
 //!   checkpoint sweep, digest-verified live migration, fenced shard
 //!   drain, and checkpoint-replay whole-shard failover with typed
-//!   stream loss (stressed by the seeded `cluster_storm` bench binary)
+//!   stream loss (stressed by the seeded cluster storm campaign)
 //!   — plus the self-healing control loop and deterministic chaos
 //!   harness: per-shard circuit breakers, idempotent-token retries,
 //!   health-scored rebalancing, rolling personality upgrades, and the
-//!   seeded `chaos_storm` campaign that drives all of it under
+//!   seeded chaos storm campaign that drives all of it under
 //!   adversarial schedules (DESIGN.md §12);
 //! * [`wal`] — crash-consistent durability for the control plane: an
 //!   append-only CRC-framed journal over a simulated disk with
 //!   partial-flush semantics (torn tails, bit rot, duplicated
 //!   appends), replayed by `cluster::Cluster::recover` after seeded
-//!   whole-cluster power losses in the `crash_storm` campaign
+//!   whole-cluster power losses in the crash storm campaign
 //!   (DESIGN.md §13).
 //!
 //! ## Quickstart
