@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the host-native engines: software CRC
 //! baselines vs. the parallel engines, the PiCoGA simulator itself, the
 //! GF(2) kernels everything is built on, the synthesis flow, the stream
-//! ciphers and the RISC interpreter.
+//! ciphers, the RISC interpreter and the configuration guard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gf2::{BitMat, BitVec};
@@ -161,6 +161,50 @@ fn bench_memory_streaming(c: &mut Criterion) {
     g.finish();
 }
 
+/// The configuration guard a stream batch pays for: `DreamSystem::scrub`
+/// over a four-lane system shaped like perfbench's `stream_mix`
+/// (CRC-32/Ethernet at M = 8, 32, 128 and the 802.11 scrambler at M = 16,
+/// every lane's update context resident), and the equivalence proof it
+/// runs, alone, on the M=128 update network.
+fn bench_guard(c: &mut Criterion) {
+    use dream::{ControlModel, DreamSystem};
+    use dream_lfsr::{build_personality, build_scrambler_personality, FlowOptions};
+    use lfsr::scramble::ScramblerSpec;
+    use picoga::PicogaParams;
+    let eth = CrcSpec::crc32_ethernet();
+    let wifi = ScramblerSpec::ieee80211();
+    let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
+    for m in [8usize, 32, 128] {
+        let name = format!("eth{m}");
+        sys.register(build_personality(&name, eth, &FlowOptions::dream_with_m(m)).unwrap())
+            .unwrap();
+        let x = sys.crc_stream_begin(&name).unwrap();
+        sys.crc_stream_feed(&name, &x, &BitVec::zeros(m)).unwrap();
+    }
+    let opts = FlowOptions::dream_with_m(16);
+    sys.register_scrambler(build_scrambler_personality("wifi16", wifi, &opts).unwrap())
+        .unwrap();
+    let x = sys
+        .scramble_stream_begin("wifi16", wifi.default_seed)
+        .unwrap();
+    sys.scramble_stream_feed("wifi16", &x, &BitVec::zeros(16))
+        .unwrap();
+    assert_eq!(sys.resident().len(), 4, "all four lanes resident");
+
+    let eth128 = build_personality("eth128", eth, &FlowOptions::dream_with_m(128)).unwrap();
+    let net = eth128.update.network();
+    let matrix = net.to_matrix();
+
+    let mut g = group(c, "guard");
+    g.bench_function("scrub", |b| {
+        b.iter(|| assert!(sys.scrub().is_empty()));
+    });
+    g.bench_with_input(BenchmarkId::new("check_network", 128), &128, |b, _| {
+        b.iter(|| verify::check_network(net, &matrix).unwrap());
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_software_crc,
@@ -170,6 +214,7 @@ criterion_group!(
     bench_synthesis,
     bench_ciphers,
     bench_riscsim,
-    bench_memory_streaming
+    bench_memory_streaming,
+    bench_guard
 );
 criterion_main!(benches);

@@ -53,6 +53,17 @@ impl BitMat {
     /// Panics if the rows have unequal lengths.
     pub fn from_rows(rows: Vec<BitVec>) -> Self {
         let cols = rows.first().map_or(0, super::bitvec::BitVec::len);
+        BitMat::from_rows_with_cols(rows, cols)
+    }
+
+    /// Builds a `rows.len() × cols` matrix from rows. Unlike
+    /// [`from_rows`](Self::from_rows), an empty row list keeps its
+    /// column count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not `cols`.
+    pub fn from_rows_with_cols(rows: Vec<BitVec>, cols: usize) -> Self {
         assert!(
             rows.iter().all(|r| r.len() == cols),
             "rows must all have the same length"
@@ -469,6 +480,14 @@ mod tests {
         a.set(3, 2, true);
         assert_eq!(&i * &a, a);
         assert_eq!(&a * &i, a);
+    }
+
+    #[test]
+    fn explicit_cols_survive_an_empty_row_list() {
+        assert_eq!(BitMat::from_rows(vec![]).cols(), 0);
+        let m = BitMat::from_rows_with_cols(vec![], 7);
+        assert_eq!((m.rows(), m.cols()), (0, 7));
+        assert_eq!(m, BitMat::zeros(0, 7));
     }
 
     #[test]

@@ -4,14 +4,22 @@
 //! Over GF(2) an XOR network is a linear map by construction, so probing
 //! it with every basis vector `e_j` is a **complete proof**, not a
 //! sample: if `net(e_j) = M·e_j` for all `j` then `net(x) = M·x` for all
-//! `x` by linearity. The probe drives [`XorNetwork::evaluate`] — the
-//! same code path the fabric simulator executes — so the proof covers
-//! the runtime semantics, independent of the IR's own symbolic
-//! `to_matrix` pass. On a mismatch, a second, forward support-tracking
-//! pass localises the offending outputs and input columns.
+//! `x` by linearity. The probe drives [`XorNetwork::evaluate_lanes`],
+//! the network's gate-order evaluator, 64 basis vectors per pass (one
+//! `u64` lane word per signal), and compares each output's lane word with
+//! the matching word of its matrix row; the XOR of the two is the set of
+//! offending input columns.
+//!
+//! What this proves is the *configuration*: the network as loaded,
+//! evaluated in gate-id order, independently of the IR's symbolic
+//! `to_matrix` pass and of `picoga`'s compiled datapath. It is blind to
+//! stuck cells, and the fabric runs that compiled datapath in placement
+//! row order, which differs from gate-id order after a wire flip to a
+//! later-placed signal. `PicogaSim::affine_probe` is the check that
+//! proves the *physical path*.
 
 use crate::diag::{Code, Diagnostic, Location};
-use gf2::{BitMat, BitVec};
+use gf2::BitMat;
 use std::fmt;
 use xornet::XorNetwork;
 
@@ -135,28 +143,34 @@ pub fn check_network(net: &XorNetwork, matrix: &BitMat) -> Result<(), EquivError
         });
     }
     let n = net.n_inputs();
-    let rows = matrix.rows();
 
-    // Basis probe through the runtime evaluator: column j of the network's
-    // linear map is net(e_j).
-    let mut bad: Vec<Vec<usize>> = vec![Vec::new(); rows];
-    let mut any = false;
-    for j in 0..n {
-        let probe = net.evaluate(&BitVec::unit(j, n));
-        for (i, bad_row) in bad.iter_mut().enumerate() {
-            if probe.get(i) != matrix.get(i, j) {
-                bad_row.push(j);
-                any = true;
+    // Basis probe through the gate-order evaluator, 64 columns per pass:
+    // lane k of pass w drives e_{64w+k}, so output i's lane word is word w
+    // of row i of the network's linear map, and its XOR with word w of
+    // the matrix row marks the bad columns in ascending order.
+    let mut bad: Vec<Vec<usize>> = vec![Vec::new(); matrix.rows()];
+    let mut lanes = vec![0u64; n];
+    for w in 0..n.div_ceil(64) {
+        lanes.fill(0);
+        for (k, lane) in lanes[64 * w..].iter_mut().take(64).enumerate() {
+            *lane = 1 << k;
+        }
+        let got = net.evaluate_lanes(&lanes);
+        for ((bad_row, lane), row) in bad.iter_mut().zip(got).zip(matrix.iter_rows()) {
+            let mut diff = lane ^ row.words()[w];
+            while diff != 0 {
+                bad_row.push(64 * w + diff.trailing_zeros() as usize);
+                diff &= diff - 1;
             }
         }
     }
     // A linear map sends 0 to 0; assert the evaluator agrees (guards
     // against a nonlinear regression in the IR itself).
-    if n > 0 {
-        let zero = net.evaluate(&BitVec::zeros(n));
-        debug_assert!(zero.is_zero(), "XOR network must be linear");
-    }
-    if !any {
+    debug_assert!(
+        net.evaluate_lanes(&vec![0; n]).iter().all(|&o| o == 0),
+        "XOR network must be linear"
+    );
+    if bad.iter().all(Vec::is_empty) {
         return Ok(());
     }
     Err(EquivError::NotEquivalent {

@@ -6,10 +6,12 @@
 //! run:
 //!
 //! * [`check_network`] — a symbolic GF(2) **equivalence checker**: an
-//!   XOR network is linear, so probing its runtime evaluator with every
-//!   input basis vector is a complete proof that it computes `y = M·x`
-//!   for its source matrix. Rejections are localised to the offending
-//!   output rows and input columns (`FL000`).
+//!   XOR network is linear, so probing its gate-order evaluator with
+//!   every input basis vector (64 per pass) is a complete proof that the
+//!   configuration computes `y = M·x` for its source matrix. Rejections
+//!   are localised to the offending output rows and input columns
+//!   (`FL000`). The physical path (placement order, stuck cells) is
+//!   proved separately, by `picoga::PicogaSim::affine_probe`.
 //! * [`lint_network`] / [`lint_operation`] / [`lint_context_demand`] —
 //!   a **structural linter** with stable codes `FL001`–`FL012`: dead
 //!   gates, missed sharing, buffer chains, cell fan-in violations,

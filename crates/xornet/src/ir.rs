@@ -116,30 +116,43 @@ impl XorNetwork {
         self.outputs.push(signal);
     }
 
-    /// Evaluates the network on concrete input bits.
+    /// Evaluates the network on concrete input bits: lane 0 of
+    /// [`evaluate_lanes`](Self::evaluate_lanes).
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != n_inputs`.
     pub fn evaluate(&self, inputs: &BitVec) -> BitVec {
         assert_eq!(inputs.len(), self.n_inputs, "input width mismatch");
+        let lanes: Vec<u64> = inputs.iter().map(u64::from).collect();
+        self.evaluate_lanes(&lanes)
+            .iter()
+            .map(|w| w & 1 == 1)
+            .collect()
+    }
+
+    /// Evaluates the network on 64 independent input vectors at once:
+    /// bit `k` of `inputs[i]` is input `i` of lane `k`, and bit `k` of
+    /// output word `o` is output `o` of lane `k` (a `None` output is 0).
+    /// Every signal is one `u64`, and each gate folds its fan-ins by XOR
+    /// in gate-id order — the network's own semantics, independent of
+    /// any placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != n_inputs`.
+    pub fn evaluate_lanes(&self, inputs: &[u64]) -> Vec<u64> {
+        assert_eq!(inputs.len(), self.n_inputs, "input width mismatch");
         let mut values = Vec::with_capacity(self.n_signals());
-        for i in 0..self.n_inputs {
-            values.push(inputs.get(i));
-        }
+        values.extend_from_slice(inputs);
         for g in &self.gates {
-            let v = g.inputs.iter().fold(false, |acc, &s| acc ^ values[s]);
+            let v = g.inputs.iter().fold(0, |acc, &s| acc ^ values[s]);
             values.push(v);
         }
-        let mut out = BitVec::zeros(self.outputs.len());
-        for (i, o) in self.outputs.iter().enumerate() {
-            if let Some(s) = o {
-                if values[*s] {
-                    out.set(i, true);
-                }
-            }
-        }
-        out
+        self.outputs
+            .iter()
+            .map(|o| o.map_or(0, |s| values[s]))
+            .collect()
     }
 
     /// Topological level of every signal: inputs at level 0, each gate one
@@ -182,29 +195,44 @@ impl XorNetwork {
 
     /// Recovers the linear function as a matrix (row per output, column per
     /// input) by symbolic evaluation — the correctness oracle for the
-    /// synthesis flow.
+    /// synthesis flow. A network with no outputs is `0 × n_inputs`.
     pub fn to_matrix(&self) -> BitMat {
-        // Propagate input-support bitsets through the DAG.
-        let mut support: Vec<BitVec> = Vec::with_capacity(self.n_signals());
-        for i in 0..self.n_inputs {
-            support.push(BitVec::unit(i, self.n_inputs));
-        }
-        for g in &self.gates {
-            let mut s = BitVec::zeros(self.n_inputs);
-            for &inp in &g.inputs {
-                s.xor_assign(&support[inp]);
-            }
-            support.push(s);
-        }
+        let n = self.n_inputs;
+        let words = n.div_ceil(64);
+        let sig = self.support_words(self.gates.len());
         let rows = self
             .outputs
             .iter()
-            .map(|o| match o {
-                Some(s) => support[*s].clone(),
-                None => BitVec::zeros(self.n_inputs),
+            .map(|o| match *o {
+                Some(s) => BitVec::from_words(sig[s * words..(s + 1) * words].to_vec(), n),
+                None => BitVec::zeros(n),
             })
             .collect();
-        BitMat::from_rows(rows)
+        BitMat::from_rows_with_cols(rows, n)
+    }
+
+    /// Input supports of the primary inputs and the first `gates` gates,
+    /// propagated through the DAG in one flat buffer: signal `s` is
+    /// `[s * words..(s + 1) * words]`, `words = ceil(n_inputs / 64)`
+    /// LSB-first words (the layout of `picoga`'s compiled datapath).
+    fn support_words(&self, gates: usize) -> Vec<u64> {
+        let n = self.n_inputs;
+        let words = n.div_ceil(64);
+        let mut sig = vec![0u64; (n + gates) * words];
+        for i in 0..n {
+            sig[i * words + i / 64] = 1 << (i % 64);
+        }
+        for (gi, g) in self.gates[..gates].iter().enumerate() {
+            // Fan-ins are earlier signal ids, so they sit below this gate.
+            let (earlier, rest) = sig.split_at_mut((n + gi) * words);
+            let mask = &mut rest[..words];
+            for &f in &g.inputs {
+                for (m, e) in mask.iter_mut().zip(&earlier[f * words..]) {
+                    *m ^= e;
+                }
+            }
+        }
+        sig
     }
 }
 
@@ -361,21 +389,12 @@ impl XorNetwork {
     /// view behind [`to_matrix`](Self::to_matrix)).
     pub fn signal_support(&self, signal: SignalId) -> BitVec {
         assert!(signal < self.n_signals(), "undefined signal");
-        if signal < self.n_inputs {
-            return BitVec::unit(signal, self.n_inputs);
-        }
-        let mut support: Vec<BitVec> = Vec::with_capacity(signal + 1);
-        for i in 0..self.n_inputs {
-            support.push(BitVec::unit(i, self.n_inputs));
-        }
-        for g in &self.gates[..=signal - self.n_inputs] {
-            let mut s = BitVec::zeros(self.n_inputs);
-            for &inp in &g.inputs {
-                s.xor_assign(&support[inp]);
-            }
-            support.push(s);
-        }
-        support[signal].clone()
+        let words = self.n_inputs.div_ceil(64);
+        let sig = self.support_words((signal + 1).saturating_sub(self.n_inputs));
+        BitVec::from_words(
+            sig[signal * words..(signal + 1) * words].to_vec(),
+            self.n_inputs,
+        )
     }
 
     /// Redirects one fan-in wire of gate `gate_idx` to `new_signal`,
